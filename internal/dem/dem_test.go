@@ -1,6 +1,7 @@
 package dem
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -95,7 +96,7 @@ func TestDepolarize2SignatureSplit(t *testing.T) {
 	}
 	bySig := map[string]float64{}
 	for _, mech := range m.Mechanisms {
-		bySig[signatureKey(mech.Detectors, mech.Obs)] = mech.Prob
+		bySig[orderKey(mech.Detectors, mech.Obs)] = mech.Prob
 	}
 	// Each signature class contains 4 of the 15 components: e.g. {0} comes
 	// from Xa{I,Z}b combinations: XI, XZ, YI, YZ.
@@ -216,8 +217,26 @@ func TestDeterministicOutput(t *testing.T) {
 	}
 	for i := range m1.Mechanisms {
 		a, bm := m1.Mechanisms[i], m2.Mechanisms[i]
-		if signatureKey(a.Detectors, a.Obs) != signatureKey(bm.Detectors, bm.Obs) || a.Prob != bm.Prob {
+		if orderKey(a.Detectors, a.Obs) != orderKey(bm.Detectors, bm.Obs) || a.Prob != bm.Prob {
 			t.Fatal("model ordering or probabilities not deterministic")
+		}
+	}
+}
+
+// The mechanism order is fmt.Sprint order; orderKey must render the same
+// strings.
+func TestOrderKeyMatchesSprint(t *testing.T) {
+	for _, tc := range []struct {
+		dets []int
+		obs  uint64
+	}{
+		{nil, 1},
+		{[]int{0}, 0},
+		{[]int{3, 12, 107}, 5},
+		{[]int{9, 10}, 1 << 63},
+	} {
+		if got, want := orderKey(tc.dets, tc.obs), fmt.Sprint(tc.dets, tc.obs); got != want {
+			t.Errorf("orderKey(%v, %d) = %q, want %q", tc.dets, tc.obs, got, want)
 		}
 	}
 }

@@ -220,43 +220,6 @@ func newState(numQubits, words, shots int, rng *rand.Rand) *state {
 	return &state{x: x, z: z, words: words, shots: shots, rng: rng}
 }
 
-// Propagator exposes deterministic frame propagation for detector error
-// model extraction: callers apply gates in circuit order and inject Pauli
-// components into chosen "shot" lanes (one lane per error mechanism); the
-// measurement records then reveal which outcomes each mechanism flips.
-type Propagator struct {
-	st *state
-}
-
-// NewPropagator returns a propagator over numQubits qubits with the given
-// number of 64-lane words.
-func NewPropagator(numQubits, words int) *Propagator {
-	return &Propagator{st: newState(numQubits, words, words*64, nil)}
-}
-
-// ApplyGate propagates frames through one gate instruction. Noise ops are
-// rejected: mechanisms are injected explicitly with InjectX/InjectZ.
-func (p *Propagator) ApplyGate(g circuit.Instruction) {
-	if g.Op.IsNoise() {
-		//surflint:ignore paniccheck op kind mix-ups are programmer error; the propagator sits in the dem enumeration hot path
-		panic("frame: Propagator.ApplyGate given a noise channel")
-	}
-	p.st.applyGate(g)
-}
-
-// InjectX XORs an X component on qubit q into the given lane.
-func (p *Propagator) InjectX(q, lane int) {
-	p.st.x[q][lane/64] ^= 1 << uint(lane%64)
-}
-
-// InjectZ XORs a Z component on qubit q into the given lane.
-func (p *Propagator) InjectZ(q, lane int) {
-	p.st.z[q][lane/64] ^= 1 << uint(lane%64)
-}
-
-// Records returns the measurement flip planes accumulated so far.
-func (p *Propagator) Records() [][]uint64 { return p.st.records }
-
 func (st *state) applyGate(g circuit.Instruction) {
 	switch g.Op {
 	case circuit.OpH:
