@@ -2,7 +2,7 @@
 // it launches cmd/threshold with -metrics-addr, scrapes the live /metrics
 // endpoint while the sweep runs, and asserts that the core series — synth
 // stage timings, Monte-Carlo shots/sec, the decoder syndrome-weight
-// histogram and cache counters — exist and parse as Prometheus text.
+// histogram and decode-path counters — exist and parse as Prometheus text.
 //
 // Usage:
 //
@@ -33,7 +33,7 @@ var wanted = []string{
 	`span_seconds_total{span="synth.`, // synthesis stage timings
 	"mc_shots_per_sec",                // Monte-Carlo engine gauge
 	"mc_shots_total",                  // Monte-Carlo engine counter
-	"decoder_cache_hits_total",        // decoder syndrome cache
+	"decoder_blossom_total",           // decoder blossom-path counter
 	"decoder_syndrome_weight_count",   // decoder k-histogram
 }
 

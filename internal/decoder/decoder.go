@@ -4,9 +4,11 @@
 //
 // The detector error model's mechanisms become the weighted edges of a
 // matching graph over detectors plus a single boundary node; mechanisms
-// flipping more than two detectors are decomposed into chains of pairwise
-// edges. Decoding a shot matches its flipped detectors (defects) pairwise —
-// or to the boundary — along minimum-weight paths, and predicts the logical
+// flipping more than two detectors are peeled into elementary edges already
+// in the graph (stim's decompose_errors), with a consecutive-pair chain only
+// as the fallback when peeling cannot reproduce the observable mask.
+// Decoding a shot matches its flipped detectors (defects) pairwise — or to
+// the boundary — along minimum-weight paths, and predicts the logical
 // observable flips as the XOR of the observable masks along the matched
 // paths.
 package decoder
@@ -33,12 +35,11 @@ const weightScale = 1024.0
 
 // Decoder is a compiled MWPM decoder for a fixed detector error model.
 //
-// Decoding runs on a sparse-syndrome fast path by default: shortest-path
-// rows are computed lazily per source on first use, one- and two-defect
-// syndromes decode in closed form without the blossom matcher, and a
-// bounded syndrome→observable cache short-circuits repeated sparse
-// syndromes. The fast path is bit-identical to the eager full-blossom slow
-// path (Options.ForceSlowPath) for every defect set.
+// Every shot takes one decode path: shortest-path rows are computed lazily
+// per source on first use, one- and two-defect syndromes decode in closed
+// form, and k>=3 defect sets run the blossom matcher (or union-find under
+// Options.UnionFind). The closed forms are bit-identical to the blossom on
+// the same defect set.
 type Decoder struct {
 	numDet int
 	numObs int
@@ -54,16 +55,8 @@ type Decoder struct {
 	opts Options
 
 	// rows holds the lazily computed per-source shortest-path rows. A slot
-	// is nil until the source is first used in a decode; under
-	// ForceSlowPath every slot is filled at compile time (the old eager
-	// all-pairs behavior).
+	// is nil until the source is first used in a decode.
 	rows []atomic.Pointer[pathRow]
-
-	// cache memoizes syndrome→observable-mask results (nil when disabled).
-	// Keys carry pathID so decoders with different decode routes can share
-	// one cache without cross-contaminating each other's masks.
-	cache  *synCache
-	pathID byte
 
 	// ufg is the lazily compiled union-find decoding graph: a pure function
 	// of the immutable adjacency, CAS-published exactly like rows, so every
@@ -96,30 +89,12 @@ type Options struct {
 	// (the decoder ablation in the benchmark harness).
 	NaiveDecomposition bool
 
-	// ForceSlowPath disables the sparse-syndrome fast path: shortest-path
-	// rows are computed eagerly for every source at compile time, every
-	// defect set runs the full blossom matching, and the syndrome cache is
-	// off. This reproduces the pre-fast-path decoder exactly; it exists
-	// for differential testing and the ablation harness.
-	ForceSlowPath bool
-
-	// CacheSize bounds the syndrome cache in entries. Zero selects the
-	// default (65536); a negative value disables the cache.
-	CacheSize int
-
 	// UnionFind routes k>=3 defect sets through the almost-linear
 	// union-find decoder (internal/uf) instead of dense blossom matching.
 	// The k<=2 closed forms still apply. UF corrections are valid but only
 	// approximately minimum-weight; undecodable clusters (odd parity on a
-	// boundaryless component) escalate back to blossom. Ignored under
-	// ForceSlowPath.
+	// boundaryless component) escalate back to blossom.
 	UnionFind bool
-
-	// SharedCache, when non-nil, replaces the decoder's private syndrome
-	// cache with the given shared one (overriding CacheSize, and enabling
-	// caching even under ForceSlowPath). Safe to share between decoders
-	// with different options: cache keys include the decode-path identity.
-	SharedCache *Cache
 }
 
 // New compiles the detector error model into a decoder.
@@ -236,8 +211,8 @@ func NewWithOptions(model *dem.Model, opts Options) (*Decoder, error) {
 	}
 	// Build the adjacency in sorted edge order: map iteration order would
 	// otherwise vary between decoder instances, and equal-weight shortest
-	// paths would tie-break differently — breaking the bit-identity
-	// contract between separately compiled fast- and slow-path decoders.
+	// paths would tie-break differently — so two decoders compiled from the
+	// same model would disagree on tied shots.
 	keys := make([]key, 0, len(probs))
 	for k := range probs {
 		keys = append(keys, k)
@@ -262,34 +237,7 @@ func NewWithOptions(model *dem.Model, opts Options) (*Decoder, error) {
 		d.adj[k.v] = append(d.adj[k.v], halfEdge{to: k.u, weight: w, obs: masks[k]})
 	}
 	d.opts = opts
-	// pathID tags cache keys with the decode route this decoder takes on a
-	// miss, so that decoders sharing a cache (ablation runs in one process)
-	// can never serve each other masks computed by a different algorithm.
-	switch {
-	case opts.ForceSlowPath:
-		d.pathID = 's'
-	case opts.UnionFind:
-		d.pathID = 'u'
-	default:
-		d.pathID = 'f'
-	}
 	d.rows = make([]atomic.Pointer[pathRow], n)
-	if opts.ForceSlowPath {
-		// The slow path keeps the eager O(n²) all-pairs compile.
-		for src := 0; src < n; src++ {
-			d.row(src)
-		}
-	}
-	switch {
-	case opts.SharedCache != nil:
-		d.cache = opts.SharedCache.c
-	case !opts.ForceSlowPath && opts.CacheSize >= 0:
-		size := opts.CacheSize
-		if size == 0 {
-			size = defaultCacheSize
-		}
-		d.cache = newSynCache(size)
-	}
 	return d, nil
 }
 
@@ -427,13 +375,13 @@ func quantWeight(w float64) int64 {
 // Decode predicts the observable flips for one shot's defect set (the list
 // of flipped detector indices). It returns an error when a defect cannot be
 // matched (disconnected matching graph). Hot loops should prefer
-// DecodeWithScratch or DecodeRange, which reuse buffers across shots.
+// DecodeRangeScratch, which reuses one scratch arena across shots.
 func (d *Decoder) Decode(defects []int) (uint64, error) {
-	obs, _, _, err := d.decode(defects, nil)
+	obs, _, err := d.decode(defects, nil)
 	return obs, err
 }
 
-// decodePath labels which decode route answered a miss, for the Stats
+// decodePath labels which decode route answered a shot, for the Stats
 // breakdown.
 type decodePath uint8
 
@@ -446,71 +394,37 @@ const (
 	pathUFFallback // union-find escalated to blossom
 )
 
-// decode is the shared decode entry: cache lookup, then closed forms, then
-// blossom. It reports whether the syndrome cache answered the query and
-// which route computed it on a miss.
-func (d *Decoder) decode(defects []int, s *Scratch) (uint64, bool, decodePath, error) {
-	if len(defects) == 0 {
-		return 0, false, pathNone, nil
-	}
-	var key []byte
-	if d.cache != nil {
-		// The leading pathID byte namespaces the entry by decode route:
-		// decoders sharing one cache but disagreeing on k>=3 handling
-		// (fast/slow/union-find) must never read each other's masks.
-		if s != nil {
-			s.key = append(s.key[:0], d.pathID)
-			s.key = appendSyndromeKey(s.key, defects)
-			key = s.key
-		} else {
-			var buf [64]byte
-			key = appendSyndromeKey(append(buf[:0], d.pathID), defects)
+// decode is the one decode path: closed forms for one- and two-defect
+// syndromes, then union-find (when enabled) or blossom for k>=3. s may be
+// nil, in which case the k>=3 buffers are allocated per call.
+func (d *Decoder) decode(defects []int, s *Scratch) (uint64, decodePath, error) {
+	switch len(defects) {
+	case 0:
+		return 0, pathNone, nil
+	case 1:
+		r := d.row(defects[0])
+		if quantWeight(r.dist[d.boundary]) < 0 {
+			return 0, pathK1, fmt.Errorf("decoder: defects unmatchable: no path joins defect %d to the boundary", defects[0])
 		}
-		if obs, ok := d.cache.get(key); ok {
-			return obs, true, pathNone, nil
+		return r.mask[d.boundary], pathK1, nil
+	case 2:
+		if obs, ok, err := d.decodePair(defects); ok {
+			return obs, pathK2, err
 		}
-	}
-	obs, path, err := d.decodeMiss(defects, s)
-	if err != nil {
-		return 0, false, path, err
-	}
-	if d.cache != nil {
-		d.cache.put(key, obs)
-	}
-	return obs, false, path, nil
-}
-
-// decodeMiss decodes a non-empty, uncached defect set: closed forms for
-// one- and two-defect syndromes on the fast path, full blossom otherwise.
-func (d *Decoder) decodeMiss(defects []int, s *Scratch) (uint64, decodePath, error) {
-	if !d.opts.ForceSlowPath {
-		switch len(defects) {
-		case 1:
-			r := d.row(defects[0])
-			if quantWeight(r.dist[d.boundary]) < 0 {
-				return 0, pathK1, fmt.Errorf("decoder: defects unmatchable: no path joins defect %d to the boundary", defects[0])
+		// Exact quantized tie between the pair path and the two boundary
+		// paths: fall through to the blossom so the choice — and thus the
+		// predicted mask — follows the blossom's tie-breaking.
+	default:
+		if d.opts.UnionFind {
+			if obs, ok := d.decodeUF(defects, s); ok {
+				return obs, pathUF, nil
 			}
-			return r.mask[d.boundary], pathK1, nil
-		case 2:
-			if obs, ok, err := d.decodePair(defects); ok {
-				return obs, pathK2, err
-			}
-			// Exact quantized tie between the pair path and the two
-			// boundary paths: fall through to the blossom so the choice —
-			// and thus the predicted mask — stays bit-identical to the
-			// slow path's tie-breaking.
-		default:
-			if d.opts.UnionFind {
-				if obs, ok := d.decodeUF(defects, s); ok {
-					return obs, pathUF, nil
-				}
-				// Escalation: the union-find decoder could not resolve the
-				// cluster (odd parity trapped on a boundaryless component,
-				// or an internal invariant tripped); the blossom handles it
-				// — or reports the canonical unmatchable error.
-				obs, err := d.decodeBlossom(defects, s)
-				return obs, pathUFFallback, err
-			}
+			// Escalation: the union-find decoder could not resolve the
+			// cluster (odd parity trapped on a boundaryless component, or
+			// an internal invariant tripped); the blossom handles it — or
+			// reports the canonical unmatchable error.
+			obs, err := d.decodeBlossom(defects, s)
+			return obs, pathUFFallback, err
 		}
 	}
 	obs, err := d.decodeBlossom(defects, s)
@@ -568,7 +482,7 @@ func (d *Decoder) decodeUF(defects []int, s *Scratch) (uint64, bool) {
 
 // decodePair decodes a two-defect syndrome in closed form: the minimum of
 // matching the pair along their shortest path versus sending both defects
-// to the boundary (the only two perfect matchings of the 4-node slow-path
+// to the boundary (the only two perfect matchings of the 4-node blossom
 // graph). ok=false reports an exact tie, which the caller resolves with
 // the blossom.
 func (d *Decoder) decodePair(defects []int) (obs uint64, ok bool, err error) {
@@ -647,49 +561,46 @@ func (d *Decoder) decodeBlossom(defects []int, s *Scratch) (uint64, error) {
 }
 
 // KHistBuckets sizes the per-batch syndrome-weight histogram: buckets for
-// k = 0..KHistBuckets-2 defects plus a final overflow bucket. Sub-threshold
-// syndromes are overwhelmingly sparse, so eight exact buckets cover
-// essentially all mass.
+// k = 0..KHistBuckets-2 defects plus a final overflow bucket. The exact
+// buckets resolve the sparse syndromes of small codes at low p; dense
+// syndromes all land in the overflow bucket (at d>=5, p=0.003 every shot
+// does, and the heavy-hexagon d=3/5 threshold sweep averages 21.5 defects
+// per shot).
 const KHistBuckets = 9
 
-// Stats summarizes a decoded batch.
+// Stats summarizes a decoded batch. Every field is a pure function of the
+// decoded shots, so per-range Stats merge to the same totals at any worker
+// count.
 type Stats struct {
 	Shots         int
 	LogicalErrors int // shots where prediction != actual observable flips
 
-	// CacheHits and CacheMisses count syndrome-cache outcomes over the
-	// non-empty defect sets decoded (both zero when the cache is disabled
-	// or the slow path forced). They are observability counters: which
-	// range first sees a syndrome depends on goroutine scheduling, so
-	// unlike Shots and LogicalErrors they are not bit-identical across
-	// worker counts.
+	// Deprecated: the decoder no longer has a syndrome cache. CacheHits and
+	// CacheMisses are always zero and are kept only for callers that still
+	// read them.
 	CacheHits   int
 	CacheMisses int
 
-	// Decode-path breakdown over cache misses: closed-form single-defect,
-	// closed-form pair, and full blossom matchings. Like the cache
-	// counters these depend on which range first warmed the cache, so
-	// they are observability counters, not bit-identical quantities.
+	// Decode-path breakdown over non-empty defect sets: closed-form
+	// single-defect, closed-form pair, and full blossom matchings.
 	FastK1  int
 	FastK2  int
 	Blossom int
 
-	// UFShots counts cache misses the union-find decoder answered;
-	// UFFallbacks counts misses where union-find escalated to blossom
-	// (those shots are also counted in Blossom). Both zero unless
-	// Options.UnionFind is set. Same caveat as the other path counters.
+	// UFShots counts shots the union-find decoder answered; UFFallbacks
+	// counts shots where union-find escalated to blossom (those shots are
+	// also counted in Blossom). Both zero unless Options.UnionFind is set.
 	UFShots     int
 	UFFallbacks int
 
 	// WindowCommits counts sliding-window commit steps performed by
-	// streaming decode (zero for whole-shot decoding). Deterministic: a
-	// pure function of the shot count and the window geometry.
+	// streaming decode (zero for whole-shot decoding): a function of the
+	// shot count and the window geometry.
 	WindowCommits int
 
 	// KHist is the syndrome-weight histogram: KHist[k] counts shots whose
 	// defect set had exactly k flipped detectors, with the last bucket
-	// absorbing k >= KHistBuckets-1. Deterministic (a pure function of the
-	// sampled batch), unlike the path counters above.
+	// absorbing k >= KHistBuckets-1.
 	KHist [KHistBuckets]int
 }
 
@@ -707,8 +618,6 @@ func (s Stats) Merge(o Stats) Stats {
 	out := Stats{
 		Shots:         s.Shots + o.Shots,
 		LogicalErrors: s.LogicalErrors + o.LogicalErrors,
-		CacheHits:     s.CacheHits + o.CacheHits,
-		CacheMisses:   s.CacheMisses + o.CacheMisses,
 		FastK1:        s.FastK1 + o.FastK1,
 		FastK2:        s.FastK2 + o.FastK2,
 		Blossom:       s.Blossom + o.Blossom,
@@ -722,26 +631,20 @@ func (s Stats) Merge(o Stats) Stats {
 	return out
 }
 
-// DecodeRange decodes shots [lo, hi) of a batch serially on the calling
-// goroutine and compares predictions against the actual observable flips.
-// The decoder's tables are immutable (or published atomically) after
-// construction, so disjoint ranges decode concurrently; callers that shard
-// a batch merge the per-range Stats. It allocates one scratch arena for the
-// whole range; loops that decode many ranges should hold a Scratch and call
-// DecodeRangeScratch.
-func (d *Decoder) DecodeRange(batch *frame.Batch, lo, hi int) (Stats, error) {
-	return d.DecodeRangeScratch(batch, lo, hi, d.NewScratch())
-}
-
-// DecodeRangeScratch is DecodeRange with a caller-owned scratch arena: the
-// per-shot defect list, matching edges, cache keys and blossom state all
-// live in s, so the steady-state hot loop does not allocate. The scratch
-// must not be shared between concurrent calls.
+// DecodeRangeScratch decodes shots [lo, hi) of a batch serially on the
+// calling goroutine and compares predictions against the actual observable
+// flips. The per-shot defect list, matching edges, blossom state and
+// union-find arena all live in the caller-owned scratch s, so the closed
+// forms and union-find decode without allocating in steady state; s must
+// not be shared between concurrent calls. The decoder's
+// tables are immutable (or published atomically) after construction, so
+// disjoint ranges decode concurrently; callers that shard a batch merge the
+// per-range Stats.
 func (d *Decoder) DecodeRangeScratch(batch *frame.Batch, lo, hi int, s *Scratch) (Stats, error) {
 	var stats Stats
 	for shot := lo; shot < hi; shot++ {
 		s.defects = batch.AppendShotDetectors(s.defects[:0], shot)
-		pred, hit, path, err := d.decode(s.defects, s)
+		pred, path, err := d.decode(s.defects, s)
 		if err != nil {
 			return stats, err
 		}
@@ -750,13 +653,6 @@ func (d *Decoder) DecodeRangeScratch(batch *frame.Batch, lo, hi int, s *Scratch)
 			k = KHistBuckets - 1
 		}
 		stats.KHist[k]++
-		if d.cache != nil && len(s.defects) > 0 {
-			if hit {
-				stats.CacheHits++
-			} else {
-				stats.CacheMisses++
-			}
-		}
 		switch path {
 		case pathK1:
 			stats.FastK1++
@@ -778,10 +674,10 @@ func (d *Decoder) DecodeRangeScratch(batch *frame.Batch, lo, hi int, s *Scratch)
 	return stats, nil
 }
 
-// DecodeBatch decodes every shot of a sampled batch in parallel. The
-// Monte-Carlo engine prefers DecodeRange inside its own workers (one level
-// of parallelism, not two); DecodeBatch remains the convenient entry point
-// for one-off batches.
+// DecodeBatch decodes every shot of a sampled batch in parallel, one
+// scratch per goroutine. The Monte-Carlo engine calls DecodeRangeScratch
+// inside its own workers instead (one level of parallelism, not two);
+// DecodeBatch is the convenient entry point for one-off batches.
 func (d *Decoder) DecodeBatch(batch *frame.Batch) (Stats, error) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > batch.Shots {
@@ -808,7 +704,7 @@ func (d *Decoder) DecodeBatch(batch *frame.Batch) (Stats, error) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			local, err := d.DecodeRange(batch, lo, hi)
+			local, err := d.DecodeRangeScratch(batch, lo, hi, d.NewScratch())
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {

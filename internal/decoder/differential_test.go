@@ -55,40 +55,48 @@ func randomDefects(rng *rand.Rand, numDet, maxK int) []int {
 	return dets
 }
 
-// diffDecoders compares fast-path and slow-path decoders on one defect set:
-// identical predictions, and errors (unmatchable sets) on both or neither.
-func diffDecoders(t *testing.T, fast, slow *Decoder, s *Scratch, defects []int) {
+// blossomRef is the differential reference: the full blossom matching on
+// every non-empty defect set, bypassing the k<=2 closed forms.
+func blossomRef(d *Decoder, defects []int) (uint64, error) {
+	if len(defects) == 0 {
+		return 0, nil
+	}
+	return d.decodeBlossom(defects, nil)
+}
+
+// diffDecoders compares the decode path against the blossom reference on
+// one defect set: identical predictions, and errors (unmatchable sets) on
+// both or neither.
+func diffDecoders(t *testing.T, dec *Decoder, s *Scratch, defects []int) {
 	t.Helper()
-	got, gotErr := fast.DecodeWithScratch(defects, s)
-	want, wantErr := slow.Decode(defects)
+	got, _, gotErr := dec.decode(defects, s)
+	want, wantErr := blossomRef(dec, defects)
 	if (gotErr != nil) != (wantErr != nil) {
-		t.Fatalf("defects %v: fast err=%v, slow err=%v", defects, gotErr, wantErr)
+		t.Fatalf("defects %v: decode err=%v, blossom err=%v", defects, gotErr, wantErr)
 	}
 	if gotErr == nil && got != want {
-		t.Fatalf("defects %v: fast predicted %b, slow predicted %b", defects, got, want)
+		t.Fatalf("defects %v: decode predicted %b, blossom predicted %b", defects, got, want)
 	}
 }
 
+// In the TestFastPathMatchesSlowPath* names, the "fast path" is decode and
+// the "slow path" is the blossom reference, blossomRef.
 func TestFastPathMatchesSlowPathOnRandomModels(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		numDet := 5 + rng.Intn(36)
 		numObs := 1 + rng.Intn(3)
 		model := randomModel(rng, numDet, numObs, 3*numDet)
-		fast, err := New(model)
+		dec, err := New(model)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := NewWithOptions(model, Options{ForceSlowPath: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := fast.NewScratch()
+		s := dec.NewScratch()
 		for _, mech := range model.Mechanisms {
-			diffDecoders(t, fast, slow, s, mech.Detectors)
+			diffDecoders(t, dec, s, mech.Detectors)
 		}
 		for trial := 0; trial < 200; trial++ {
-			diffDecoders(t, fast, slow, s, randomDefects(rng, numDet, 8))
+			diffDecoders(t, dec, s, randomDefects(rng, numDet, 8))
 		}
 	}
 }
@@ -134,21 +142,17 @@ func TestFastPathMatchesSlowPathOnSynthesizedCircuits(t *testing.T) {
 		for _, d := range distances {
 			t.Run(kind.String(), func(t *testing.T) {
 				model := synthesizedMemory(t, kind, d)
-				fast, err := New(model)
-				if err != nil {
-					t.Fatal(err)
-				}
-				slow, err := NewWithOptions(model, Options{ForceSlowPath: true})
+				dec, err := New(model)
 				if err != nil {
 					t.Fatal(err)
 				}
 				// Synthesize defect sets from the model itself: every
 				// mechanism signature, plus random unions of two and three
 				// signatures (realistic multi-fault shots, k up to ~8).
-				s := fast.NewScratch()
+				s := dec.NewScratch()
 				rng := rand.New(rand.NewSource(int64(100*d) + int64(kind)))
 				for _, mech := range model.Mechanisms {
-					diffDecoders(t, fast, slow, s, mech.Detectors)
+					diffDecoders(t, dec, s, mech.Detectors)
 				}
 				for trial := 0; trial < 150; trial++ {
 					set := map[int]bool{}
@@ -165,7 +169,7 @@ func TestFastPathMatchesSlowPathOnSynthesizedCircuits(t *testing.T) {
 						}
 					}
 					sortInts(defects)
-					diffDecoders(t, fast, slow, s, defects)
+					diffDecoders(t, dec, s, defects)
 				}
 			})
 		}
@@ -173,20 +177,17 @@ func TestFastPathMatchesSlowPathOnSynthesizedCircuits(t *testing.T) {
 }
 
 func TestFastPathMatchesSlowPathOnSampledBatches(t *testing.T) {
-	// End-to-end over sampled batches: per-shot predictions and the merged
-	// Stats (Shots, LogicalErrors) agree between the paths, and DecodeBatch
-	// at full parallelism agrees with the serial range decode.
+	// End-to-end over sampled batches: per-shot predictions agree with the
+	// blossom reference, the range decode's LogicalErrors match the
+	// reference's, and DecodeBatch at full parallelism reproduces the
+	// serial range decode's Stats exactly.
 	for _, d := range []int{3, 5} {
 		c := noise.Uniform(0.02).MustApply(repetitionMemory(d, d))
 		model, err := dem.FromCircuit(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := New(model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow, err := NewWithOptions(model, Options{ForceSlowPath: true})
+		dec, err := New(model)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,27 +196,28 @@ func TestFastPathMatchesSlowPathOnSampledBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		batch := sampler.Sample(2000)
-		s := fast.NewScratch()
+		s := dec.NewScratch()
+		refErrors := 0
 		for shot := 0; shot < batch.Shots; shot++ {
-			diffDecoders(t, fast, slow, s, batch.ShotDetectors(shot))
+			defects := batch.ShotDetectors(shot)
+			diffDecoders(t, dec, s, defects)
+			if want, err := blossomRef(dec, defects); err == nil && want != batch.ObservableMask(shot) {
+				refErrors++
+			}
 		}
-		fastStats, err := fast.DecodeRange(batch, 0, batch.Shots)
+		serial, err := dec.DecodeRangeScratch(batch, 0, batch.Shots, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slowStats, err := slow.DecodeRange(batch, 0, batch.Shots)
+		if serial.Shots != batch.Shots || serial.LogicalErrors != refErrors {
+			t.Fatalf("d=%d: range stats %+v, want %d shots / %d errors", d, serial, batch.Shots, refErrors)
+		}
+		parallel, err := dec.DecodeBatch(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fastStats.Shots != slowStats.Shots || fastStats.LogicalErrors != slowStats.LogicalErrors {
-			t.Fatalf("d=%d: fast stats %+v != slow stats %+v", d, fastStats, slowStats)
-		}
-		parallel, err := fast.DecodeBatch(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parallel.Shots != fastStats.Shots || parallel.LogicalErrors != fastStats.LogicalErrors {
-			t.Fatalf("d=%d: DecodeBatch %+v != serial %+v", d, parallel, fastStats)
+		if parallel != serial {
+			t.Fatalf("d=%d: DecodeBatch %+v != serial %+v", d, parallel, serial)
 		}
 	}
 }
@@ -226,7 +228,7 @@ func TestLazyRowsComputedOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := New(model)
+	dec, err := New(model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,78 +240,15 @@ func TestLazyRowsComputedOnDemand(t *testing.T) {
 		}
 		return
 	}
-	if got := countRows(fast); got != 0 {
-		t.Fatalf("fast path precomputed %d rows at compile time", got)
+	if got := countRows(dec); got != 0 {
+		t.Fatalf("decoder precomputed %d rows at compile time", got)
 	}
-	if _, err := fast.Decode([]int{0, 1}); err != nil {
+	if _, err := dec.Decode([]int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	got := countRows(fast)
+	got := countRows(dec)
 	if got == 0 || got > 2 {
 		t.Fatalf("after a 2-defect decode, %d rows computed (want 1..2)", got)
-	}
-	slow, err := NewWithOptions(model, Options{ForceSlowPath: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := countRows(slow); got != slow.numDet+1 {
-		t.Fatalf("slow path computed %d rows eagerly, want all %d", got, slow.numDet+1)
-	}
-	if slow.cache != nil {
-		t.Fatal("slow path must not carry a syndrome cache")
-	}
-}
-
-func TestSyndromeCacheCountersAndBound(t *testing.T) {
-	c := noise.Uniform(0.02).MustApply(repetitionMemory(3, 3))
-	model, err := dem.FromCircuit(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewWithOptions(model, Options{CacheSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampler, err := frame.NewSampler(c, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := sampler.Sample(1500)
-	stats, err := dec.DecodeRange(batch, 0, batch.Shots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonEmpty := 0
-	for shot := 0; shot < batch.Shots; shot++ {
-		if len(batch.ShotDetectors(shot)) > 0 {
-			nonEmpty++
-		}
-	}
-	if stats.CacheHits+stats.CacheMisses != nonEmpty {
-		t.Fatalf("hits %d + misses %d != non-empty shots %d",
-			stats.CacheHits, stats.CacheMisses, nonEmpty)
-	}
-	if stats.CacheHits == 0 {
-		t.Fatal("no cache hits over 1500 low-p shots; sparse syndromes should repeat")
-	}
-	if got := dec.cache.size(); got > 4 {
-		t.Fatalf("cache grew to %d entries past its bound of 4", got)
-	}
-	// Disabled cache: counters stay zero.
-	off, err := NewWithOptions(model, Options{CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	offStats, err := off.DecodeRange(batch, 0, batch.Shots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if offStats.CacheHits != 0 || offStats.CacheMisses != 0 {
-		t.Fatalf("disabled cache still counted: %+v", offStats)
-	}
-	if offStats.LogicalErrors != stats.LogicalErrors {
-		t.Fatalf("cache changed decode results: %d vs %d errors",
-			offStats.LogicalErrors, stats.LogicalErrors)
 	}
 }
 
@@ -330,7 +269,7 @@ func TestScratchReuseMatchesFreshDecodes(t *testing.T) {
 	s := dec.NewScratch()
 	for trial := 0; trial < 300; trial++ {
 		defects := randomDefects(rng, dec.numDet, 10)
-		got, gotErr := dec.DecodeWithScratch(defects, s)
+		got, _, gotErr := dec.decode(defects, s)
 		want, wantErr := dec.Decode(defects)
 		if (gotErr != nil) != (wantErr != nil) || got != want {
 			t.Fatalf("defects %v: scratch (%b, %v) != fresh (%b, %v)",
@@ -340,10 +279,12 @@ func TestScratchReuseMatchesFreshDecodes(t *testing.T) {
 }
 
 func TestStatsMergeIncludesCacheCounters(t *testing.T) {
-	a := Stats{Shots: 10, LogicalErrors: 1, CacheHits: 4, CacheMisses: 6}
-	b := Stats{Shots: 5, LogicalErrors: 2, CacheHits: 5, CacheMisses: 0}
+	a := Stats{Shots: 10, LogicalErrors: 1, FastK1: 4, FastK2: 3, Blossom: 2, UFShots: 1}
+	b := Stats{Shots: 5, LogicalErrors: 2, FastK1: 1, Blossom: 3, UFFallbacks: 1}
+	a.KHist[1], b.KHist[1] = 4, 1
 	got := a.Merge(b)
-	want := Stats{Shots: 15, LogicalErrors: 3, CacheHits: 9, CacheMisses: 6}
+	want := Stats{Shots: 15, LogicalErrors: 3, FastK1: 5, FastK2: 3, Blossom: 5, UFShots: 1, UFFallbacks: 1}
+	want.KHist[1] = 5
 	if got != want {
 		t.Fatalf("Merge = %+v, want %+v", got, want)
 	}

@@ -22,7 +22,7 @@ import (
 // circuit too (for sampling) with a caller-chosen physical error rate, and
 // skipping the expensive tableau verification at d=7 (the d<=5 runs cover
 // the construction; same policy as the distance-7 end-to-end test).
-func synthesizedNoisyMemory(t *testing.T, kind device.Kind, d int, p float64) (*dem.Model, *circuit.Circuit, *experiment.Memory) {
+func synthesizedNoisyMemory(t testing.TB, kind device.Kind, d int, p float64) (*dem.Model, *circuit.Circuit, *experiment.Memory) {
 	t.Helper()
 	dev := devicetest.ForDistance(t, kind, d)
 	layout, err := synth.Allocate(context.Background(), dev, d, synth.ModeDefault)
@@ -70,7 +70,7 @@ func chainModel(numDet int, probs []float64) *dem.Model {
 
 func TestUFRoutesKGe3AndCounts(t *testing.T) {
 	model := chainModel(40, []float64{0.01, 0.02, 0.015})
-	ufDec, err := NewWithOptions(model, Options{UnionFind: true, CacheSize: -1})
+	ufDec, err := NewWithOptions(model, Options{UnionFind: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +82,12 @@ func TestUFRoutesKGe3AndCounts(t *testing.T) {
 
 	// k<=2 stays on the closed forms.
 	for _, defects := range [][]int{{3}, {3, 4}} {
-		if _, path, err := ufDec.decodeMiss(defects, s); err != nil || (path != pathK1 && path != pathK2) {
+		if _, path, err := ufDec.decode(defects, s); err != nil || (path != pathK1 && path != pathK2) {
 			t.Fatalf("defects %v took path %d (err %v); want closed form", defects, path, err)
 		}
 	}
 	// k>=3 routes through union-find.
-	obs, path, err := ufDec.decodeMiss([]int{3, 4, 20, 21, 30, 31}, s)
+	obs, path, err := ufDec.decode([]int{3, 4, 20, 21, 30, 31}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestUFRoutesKGe3AndCounts(t *testing.T) {
 		t.Fatalf("uf predicted %b, blossom %b on isolated pairs", obs, want)
 	}
 	// Without the option the same decoder build uses blossom.
-	if _, path, err := plain.decodeMiss([]int{3, 4, 20, 21, 30, 31}, plain.NewScratch()); err != nil || path != pathBlossom {
+	if _, path, err := plain.decode([]int{3, 4, 20, 21, 30, 31}, plain.NewScratch()); err != nil || path != pathBlossom {
 		t.Fatalf("UnionFind=false took path %d (err %v); want blossom", path, err)
 	}
 }
@@ -119,11 +119,11 @@ func TestUFFallbackOnUndecodableCluster(t *testing.T) {
 		{Detectors: []int{1, 2}, Prob: 0.01},
 		{Detectors: []int{2, 3}, Prob: 0.01},
 	}
-	dec, err := NewWithOptions(m, Options{UnionFind: true, CacheSize: -1})
+	dec, err := NewWithOptions(m, Options{UnionFind: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, path, err := dec.decodeMiss([]int{0, 1, 2}, dec.NewScratch())
+	_, path, err := dec.decode([]int{0, 1, 2}, dec.NewScratch())
 	if err == nil {
 		t.Fatal("odd defect parity on a boundaryless component decoded successfully")
 	}
@@ -131,7 +131,7 @@ func TestUFFallbackOnUndecodableCluster(t *testing.T) {
 		t.Fatalf("undecodable cluster took path %d; want pathUFFallback", path)
 	}
 	// Even parity on the same component decodes fine through union-find.
-	obs, path, err := dec.decodeMiss([]int{0, 1, 2, 3}, dec.NewScratch())
+	obs, path, err := dec.decode([]int{0, 1, 2, 3}, dec.NewScratch())
 	if err != nil || path != pathUF {
 		t.Fatalf("even-parity decode: path %d err %v", path, err)
 	}
@@ -156,7 +156,7 @@ func TestUFStatsCountersInDecodeRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewWithOptions(model, Options{UnionFind: true, CacheSize: -1})
+	dec, err := NewWithOptions(model, Options{UnionFind: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestUFStatsCountersInDecodeRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := sampler.Sample(2000)
-	st, err := dec.DecodeRange(batch, 0, batch.Shots)
+	st, err := dec.DecodeRangeScratch(batch, 0, batch.Shots, dec.NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,60 +186,6 @@ func TestUFStatsCountersInDecodeRange(t *testing.T) {
 	sum := st.Merge(st)
 	if sum.UFShots != 2*st.UFShots || sum.UFFallbacks != 0 || sum.WindowCommits != 2*st.WindowCommits {
 		t.Fatalf("Merge dropped uf counters: %+v", sum)
-	}
-}
-
-func TestSharedCachePathIdentity(t *testing.T) {
-	// Regression: decoders with different k>=3 routes sharing one process-
-	// wide cache must never serve each other's masks. The observable
-	// symptom guarded here: a syndrome cached by the uf-path decoder is a
-	// cache MISS for the fast-path decoder (and vice versa), while a
-	// second decoder with the same path identity gets a HIT.
-	model := chainModel(30, []float64{0.01, 0.03, 0.02})
-	shared := NewCache(0)
-	ufA, err := NewWithOptions(model, Options{UnionFind: true, SharedCache: shared})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ufB, err := NewWithOptions(model, Options{UnionFind: true, SharedCache: shared})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := NewWithOptions(model, Options{SharedCache: shared})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defects := []int{2, 3, 10, 11, 20, 21}
-	s := ufA.NewScratch()
-	if _, hit, _, err := ufA.decode(defects, s); err != nil || hit {
-		t.Fatalf("first uf decode: hit=%v err=%v; want cold miss", hit, err)
-	}
-	if _, hit, _, err := ufB.decode(defects, ufB.NewScratch()); err != nil || !hit {
-		t.Fatalf("same-path decoder: hit=%v err=%v; want shared hit", hit, err)
-	}
-	obsFast, hit, _, err := fast.decode(defects, fast.NewScratch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("fast-path decoder was served a union-find cache entry")
-	}
-	// And the reverse direction: the fast decode above populated its own
-	// namespace; a fresh fast-path decoder hits it, the uf path still
-	// owns its separate entry.
-	fast2, err := NewWithOptions(model, Options{SharedCache: shared})
-	if err != nil {
-		t.Fatal(err)
-	}
-	obsFast2, hit, _, err := fast2.decode(defects, fast2.NewScratch())
-	if err != nil || !hit {
-		t.Fatalf("second fast decoder: hit=%v err=%v; want shared hit", hit, err)
-	}
-	if obsFast2 != obsFast {
-		t.Fatalf("shared fast entry changed: %b vs %b", obsFast2, obsFast)
-	}
-	if shared.Len() != 2 {
-		t.Fatalf("shared cache holds %d entries; want 2 (one per path identity)", shared.Len())
 	}
 }
 
@@ -280,7 +226,7 @@ func TestUFWilsonBoundLER(t *testing.T) {
 				// union-find path actually decides the rate and both
 				// decoders see plenty of logical errors.
 				model, noisy, _ := synthesizedNoisyMemory(t, kind, d, p)
-				ufDec, err := NewWithOptions(model, Options{UnionFind: true, CacheSize: -1})
+				ufDec, err := NewWithOptions(model, Options{UnionFind: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -293,11 +239,11 @@ func TestUFWilsonBoundLER(t *testing.T) {
 					t.Fatal(err)
 				}
 				batch := sampler.Sample(shots)
-				ufStats, err := ufDec.DecodeRange(batch, 0, batch.Shots)
+				ufStats, err := ufDec.DecodeRangeScratch(batch, 0, batch.Shots, ufDec.NewScratch())
 				if err != nil {
 					t.Fatal(err)
 				}
-				blStats, err := blossom.DecodeRange(batch, 0, batch.Shots)
+				blStats, err := blossom.DecodeRangeScratch(batch, 0, batch.Shots, blossom.NewScratch())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -357,11 +303,7 @@ func FuzzUFvsBlossom(f *testing.F) {
 			probs[i] = 0.005 + 0.3*rng.Float64()
 		}
 		model := chainModel(numDet, probs)
-		ufDec, err := NewWithOptions(model, Options{UnionFind: true, CacheSize: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow, err := NewWithOptions(model, Options{ForceSlowPath: true})
+		ufDec, err := NewWithOptions(model, Options{UnionFind: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,9 +325,9 @@ func FuzzUFvsBlossom(f *testing.F) {
 				defects = append(defects, base, base+1)
 			}
 			got, gotErr := ufDec.Decode(defects)
-			want, wantErr := slow.Decode(defects)
+			want, wantErr := blossomRef(ufDec, defects)
 			if (gotErr != nil) != (wantErr != nil) {
-				t.Fatalf("isolated pairs %v: uf err=%v slow err=%v", defects, gotErr, wantErr)
+				t.Fatalf("isolated pairs %v: uf err=%v blossom err=%v", defects, gotErr, wantErr)
 			}
 			if gotErr == nil && got != want {
 				t.Fatalf("isolated pairs %v: uf %b != mwpm %b", defects, got, want)
@@ -398,10 +340,10 @@ func FuzzUFvsBlossom(f *testing.F) {
 		s := ufDec.NewScratch()
 		for trial := 0; trial < 20; trial++ {
 			defects := randomDefects(rng, numDet, 8)
-			got, gotErr := ufDec.DecodeWithScratch(defects, s)
-			want, wantErr := slow.Decode(defects)
+			_, _, gotErr := ufDec.decode(defects, s)
+			_, wantErr := blossomRef(ufDec, defects)
 			if (gotErr != nil) != (wantErr != nil) {
-				t.Fatalf("defects %v: uf err=%v slow err=%v", defects, gotErr, wantErr)
+				t.Fatalf("defects %v: uf err=%v blossom err=%v", defects, gotErr, wantErr)
 			}
 			if gotErr != nil {
 				continue
@@ -420,8 +362,6 @@ func FuzzUFvsBlossom(f *testing.F) {
 					}
 				}
 			}
-			_ = got
-			_ = want
 		}
 	})
 }
@@ -429,13 +369,12 @@ func FuzzUFvsBlossom(f *testing.F) {
 func TestUFDecodeZeroAlloc(t *testing.T) {
 	// The union-find hot loop must be allocation-free at steady state:
 	// warm one scratch through a k>=3 batch, then assert zero allocs/shot.
-	// Cache off so every decode exercises the uf path, not the map.
 	c := noise.Uniform(0.05).MustApply(repetitionMemory(7, 7))
 	model, err := dem.FromCircuit(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewWithOptions(model, Options{UnionFind: true, CacheSize: -1})
+	dec, err := NewWithOptions(model, Options{UnionFind: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package obs
 
 // SchemaVersion versions every JSON document the repository emits — CLI
-// reports, benchmark comparisons, run manifests. Consumers should check it
+// reports, threshold curves, run manifests. Consumers should check it
 // before relying on field shapes; producers source it from here and nowhere
 // else, so a bump is one edit.
 //

@@ -40,17 +40,3 @@ func TestAblationDecoderPeeling(t *testing.T) {
 		t.Errorf("peeling decomposition should reduce the logical error rate: %v", res)
 	}
 }
-
-func TestAblationDecoderFastPath(t *testing.T) {
-	if testing.Short() {
-		t.Skip("Monte Carlo in short mode")
-	}
-	res, err := AblationDecoderFastPath(Config{Shots: 4000, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%v", res)
-	if res.Baseline != res.Ablated {
-		t.Errorf("fast path must be a pure optimization: %v", res)
-	}
-}

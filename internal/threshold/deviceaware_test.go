@@ -124,11 +124,11 @@ func TestDeviceAwareDecoderBeatsUniformOnAsymmetricChip(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := sampler.Sample(shots)
-	statsDA, err := decDA.DecodeRange(batch, 0, shots)
+	statsDA, err := decDA.DecodeRangeScratch(batch, 0, shots, decDA.NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	statsU, err := decU.DecodeRange(batch, 0, shots)
+	statsU, err := decU.DecodeRangeScratch(batch, 0, shots, decU.NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}

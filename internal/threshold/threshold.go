@@ -76,8 +76,8 @@ type Config struct {
 	Progress func(p float64, pr mc.Progress)
 	// Registry, when non-nil, receives live metrics: the Monte-Carlo
 	// engine's shot/rate series plus the decoder's syndrome-weight
-	// histogram, decode-path breakdown and cache hit/miss counters,
-	// promoted from per-worker tallies at chunk boundaries.
+	// histogram and decode-path breakdown, promoted from per-worker
+	// tallies at chunk boundaries.
 	Registry *obs.Registry
 	// Noise, when non-nil, builds the channel applier for each sweep point
 	// (e.g. noise.BuilderFor on a calibrated device, which derives
@@ -85,8 +85,8 @@ type Config struct {
 	// before, keeping uncalibrated results bit-identical.
 	Noise noise.Builder
 	// Decoder passes options through to the decoder compile — the ablation
-	// hook for the union-find path (Decoder.UnionFind) and the cache and
-	// decomposition switches. The zero value reproduces decoder.New.
+	// hook for the union-find path (Decoder.UnionFind) and the
+	// decomposition switch. The zero value reproduces decoder.New.
 	Decoder decoder.Options
 	// Stream, when non-nil, replaces whole-shot decoding with sliding-
 	// window streaming decode (the real-time ablation mode): each shot's
@@ -213,15 +213,13 @@ func EstimatePointContext(ctx context.Context, prov CircuitProvider, p float64, 
 	// either way the hot loop only pays plain per-worker int increments,
 	// with atomics touched once per chunk.
 	var (
-		mCacheHits   = cfg.Registry.Counter("decoder_cache_hits_total")
-		mCacheMisses = cfg.Registry.Counter("decoder_cache_misses_total")
-		mFastK1      = cfg.Registry.Counter("decoder_fast_k1_total")
-		mFastK2      = cfg.Registry.Counter("decoder_fast_k2_total")
-		mBlossom     = cfg.Registry.Counter("decoder_blossom_total")
-		mUF          = cfg.Registry.Counter("decoder_uf_total")
-		mUFFallback  = cfg.Registry.Counter("decoder_uf_fallback_total")
-		mCommits     = cfg.Registry.Counter("decoder_window_commits_total")
-		mKHist       = cfg.Registry.Histogram("decoder_syndrome_weight", obs.LinearBuckets(0, 1, decoder.KHistBuckets-1))
+		mFastK1     = cfg.Registry.Counter("decoder_fast_k1_total")
+		mFastK2     = cfg.Registry.Counter("decoder_fast_k2_total")
+		mBlossom    = cfg.Registry.Counter("decoder_blossom_total")
+		mUF         = cfg.Registry.Counter("decoder_uf_total")
+		mUFFallback = cfg.Registry.Counter("decoder_uf_fallback_total")
+		mCommits    = cfg.Registry.Counter("decoder_window_commits_total")
+		mKHist      = cfg.Registry.Histogram("decoder_syndrome_weight", obs.LinearBuckets(0, 1, decoder.KHistBuckets-1))
 	)
 	// promote pushes one chunk's decoder stats into the registry — the
 	// once-per-chunk boundary where plain per-worker ints become atomics —
@@ -229,8 +227,6 @@ func EstimatePointContext(ctx context.Context, prov CircuitProvider, p float64, 
 	// slots for deterministic in-order totals.
 	promote := func(st decoder.Stats) mc.Tally {
 		if cfg.Registry != nil {
-			mCacheHits.Add(int64(st.CacheHits))
-			mCacheMisses.Add(int64(st.CacheMisses))
 			mFastK1.Add(int64(st.FastK1))
 			mFastK2.Add(int64(st.FastK2))
 			mBlossom.Add(int64(st.Blossom))

@@ -9,6 +9,7 @@ import (
 
 	"surfstitch/internal/device"
 	"surfstitch/internal/experiment"
+	"surfstitch/internal/obs"
 	"surfstitch/internal/stats"
 	"surfstitch/internal/synth"
 )
@@ -205,21 +206,38 @@ func TestReproducibleForFixedSeed(t *testing.T) {
 func TestCurveDeterministicAcrossWorkers(t *testing.T) {
 	prov, _ := memoryProvider(t, device.Square(6, 6), 3, synth.ModeFour, 2)
 	ps := []float64{0.002, 0.008}
+	// The decode-path counters are a pure function of the sampled shots,
+	// so the registry totals must not depend on the worker count either.
+	pathSeries := []string{"decoder_fast_k1_total", "decoder_fast_k2_total", "decoder_blossom_total"}
 	var want Curve
+	var wantPaths []int64
 	for i, workers := range []int{1, 4, runtime.NumCPU()} {
-		cfg := Config{Shots: 1280, Seed: 42, Workers: workers, ChunkShots: 256}
+		reg := obs.NewRegistry()
+		cfg := Config{Shots: 1280, Seed: 42, Workers: workers, ChunkShots: 256, Registry: reg}
 		got, err := EstimateCurve("det", 3, prov, ps, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var paths []int64
+		for _, name := range pathSeries {
+			paths = append(paths, reg.Counter(name).Value())
+		}
 		if i == 0 {
-			want = got
+			want, wantPaths = got, paths
+			if wantPaths[0] == 0 || wantPaths[2] == 0 {
+				t.Fatalf("workers=1 path counters %v: want closed-form and blossom shots", wantPaths)
+			}
 			continue
 		}
 		for j := range ps {
 			if got.Points[j] != want.Points[j] {
 				t.Errorf("workers=%d point %d = %+v, want %+v (workers=1)",
 					workers, j, got.Points[j], want.Points[j])
+			}
+		}
+		for j, name := range pathSeries {
+			if paths[j] != wantPaths[j] {
+				t.Errorf("workers=%d %s = %d, want %d (workers=1)", workers, name, paths[j], wantPaths[j])
 			}
 		}
 	}
