@@ -11,10 +11,17 @@
 // the boundary — along minimum-weight paths, and predicts the logical
 // observable flips as the XOR of the observable masks along the matched
 // paths.
+//
+// The matching is exact. Shortest-path rows come from a lazily run
+// Dijkstra per defect. One and two defects decode in closed form. Larger
+// sets run the blossom matcher on the defects alone, with each pair
+// weighted by its savings over sending both defects to the boundary
+// (boundary weights minus pair weight). Pairs without positive savings
+// cannot improve on the boundary and get no edge, so the matcher sees a
+// sparse graph on the defects alone.
 package decoder
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -37,7 +44,7 @@ const weightScale = 1024.0
 //
 // Every shot takes one decode path: shortest-path rows are computed lazily
 // per source on first use, one- and two-defect syndromes decode in closed
-// form, and k>=3 defect sets run the blossom matcher (or union-find under
+// form, and k>=3 defect sets run the savings matching (or union-find under
 // Options.UnionFind). The closed forms are bit-identical to the blossom on
 // the same defect set.
 type Decoder struct {
@@ -90,7 +97,7 @@ type Options struct {
 	NaiveDecomposition bool
 
 	// UnionFind routes k>=3 defect sets through the almost-linear
-	// union-find decoder (internal/uf) instead of dense blossom matching.
+	// union-find decoder (internal/uf) instead of blossom matching.
 	// The k<=2 closed forms still apply. UF corrections are valid but only
 	// approximately minimum-weight; undecodable clusters (odd parity on a
 	// boundaryless component) escalate back to blossom.
@@ -296,11 +303,18 @@ func peelDecompose(dets []int, boundary int, edgeExists func(u, v int) bool) (co
 	return comps, leftover
 }
 
-// row returns the shortest-path row from src, computing it on first use and
-// publishing it through an atomic pointer. Reads are lock-free; concurrent
-// first uses may both run Dijkstra, but the row is a pure function of the
-// immutable adjacency, so the CAS loser's result is identical to the
-// winner's and results stay bit-identical at any worker count.
+// row returns the shortest-path row from detector src, computing it on
+// first use and publishing it through an atomic pointer. Reads are
+// lock-free; concurrent first uses may both run Dijkstra, but the row is a
+// pure function of the immutable adjacency, so the CAS loser's result is
+// identical to the winner's and results stay bit-identical at any worker
+// count.
+//
+// A row covers every node reachable from src. Bounding the search by the
+// savings rule (a pair is useful only when dist < wB_src + wB_v) would not
+// stop it any earlier: the path through the boundary node puts every
+// reachable v within wB_src + wB_v, so no exact prefix of the pop order
+// leaves out a node.
 func (d *Decoder) row(src int) *pathRow {
 	if r := d.rows[src].Load(); r != nil {
 		return r
@@ -318,17 +332,45 @@ type pqItem struct {
 	dist float64
 }
 
-type pq []pqItem
+// pathHeap is a binary min-heap of queue items keyed on dist. Its sift
+// steps make the same comparisons and swaps as container/heap's, so items
+// pop in the same order, equal-distance ties included; without the
+// interface boxing, a push does not allocate.
+type pathHeap []pqItem
 
-func (p pq) Len() int            { return len(p) }
-func (p pq) Less(i, j int) bool  { return p[i].dist < p[j].dist }
-func (p pq) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x interface{}) { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() interface{} {
-	old := *p
-	it := old[len(old)-1]
-	*p = old[:len(old)-1]
-	return it
+func (h *pathHeap) push(it pqItem) {
+	*h = append(*h, it)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *pathHeap) pop() pqItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].dist < q[j].dist {
+			j = j2
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 func (d *Decoder) dijkstra(src int) ([]float64, []uint64) {
@@ -340,9 +382,9 @@ func (d *Decoder) dijkstra(src int) ([]float64, []uint64) {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	q := &pq{{node: src}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
+	q := pathHeap{{node: src}}
+	for len(q) > 0 {
+		it := q.pop()
 		u := it.node
 		if done[u] {
 			continue
@@ -353,7 +395,7 @@ func (d *Decoder) dijkstra(src int) ([]float64, []uint64) {
 			if nd < dist[e.to] {
 				dist[e.to] = nd
 				mask[e.to] = mask[u] ^ e.obs
-				heap.Push(q, pqItem{node: e.to, dist: nd})
+				q.push(pqItem{node: e.to, dist: nd})
 			}
 		}
 	}
@@ -408,12 +450,8 @@ func (d *Decoder) decode(defects []int, s *Scratch) (uint64, decodePath, error) 
 		}
 		return r.mask[d.boundary], pathK1, nil
 	case 2:
-		if obs, ok, err := d.decodePair(defects); ok {
-			return obs, pathK2, err
-		}
-		// Exact quantized tie between the pair path and the two boundary
-		// paths: fall through to the blossom so the choice — and thus the
-		// predicted mask — follows the blossom's tie-breaking.
+		obs, err := d.decodePair(defects)
+		return obs, pathK2, err
 	default:
 		if d.opts.UnionFind {
 			if obs, ok := d.decodeUF(defects, s); ok {
@@ -480,12 +518,12 @@ func (d *Decoder) decodeUF(defects []int, s *Scratch) (uint64, bool) {
 	return obs, true
 }
 
-// decodePair decodes a two-defect syndrome in closed form: the minimum of
-// matching the pair along their shortest path versus sending both defects
-// to the boundary (the only two perfect matchings of the 4-node blossom
-// graph). ok=false reports an exact tie, which the caller resolves with
-// the blossom.
-func (d *Decoder) decodePair(defects []int) (obs uint64, ok bool, err error) {
+// decodePair decodes a two-defect syndrome in closed form: the cheaper of
+// matching the pair along their shortest path and sending both defects to
+// the boundary. An exact quantized tie goes to the boundary, as in the
+// savings matching, where a pair with zero savings gets no edge; the result
+// is therefore bit-identical to the blossom's.
+func (d *Decoder) decodePair(defects []int) (uint64, error) {
 	a, b := defects[0], defects[1]
 	ra, rb := d.row(a), d.row(b)
 	wp := quantWeight(ra.dist[b])
@@ -494,66 +532,86 @@ func (d *Decoder) decodePair(defects []int) (obs uint64, ok bool, err error) {
 	pairOK := wp >= 0
 	bndOK := wa >= 0 && wb >= 0
 	switch {
-	case pairOK && bndOK && wp == wa+wb:
-		return 0, false, nil
 	case pairOK && (!bndOK || wp < wa+wb):
-		return ra.mask[b], true, nil
+		return ra.mask[b], nil
 	case bndOK:
-		return ra.mask[d.boundary] ^ rb.mask[d.boundary], true, nil
+		return ra.mask[d.boundary] ^ rb.mask[d.boundary], nil
 	default:
-		return 0, true, fmt.Errorf("decoder: defects unmatchable: no path pairs defects %d,%d or joins both to the boundary", a, b)
+		return 0, fmt.Errorf("decoder: defects unmatchable: no path pairs defects %d,%d or joins both to the boundary", a, b)
 	}
 }
 
-// decodeBlossom runs the full minimum-weight perfect matching. Nodes
-// 0..k-1 are defects; k..2k-1 are their boundary images, interconnected
-// with zero-weight edges so that any subset of them can pair off among
-// themselves. With a scratch, the edge buffer and matcher state are reused
-// across calls.
-func (d *Decoder) decodeBlossom(defects []int, s *Scratch) (uint64, error) {
+// far is the boundary weight given to a defect with no path to the
+// boundary: far above any sum of quantized path weights, so a maximum
+// savings matching pairs every such defect whenever any valid matching
+// does.
+const far = int64(1) << 40
+
+// matchDefects computes a minimum-weight matching of the defects, each
+// defect either paired with another along their shortest path or sent to
+// the boundary along its own, and returns mate: mate[i] is the index of
+// defect i's partner, or -1 for the boundary.
+//
+// With bnd_i the quantized boundary weight of defect i and w_ij the
+// quantized pair weight, the cost of a matching M is
+// Σ bnd − Σ_{(i,j)∈M} (bnd_i + bnd_j − w_ij), so the minimum-cost matching
+// is the maximum-weight (not maximum-cardinality) matching over these
+// savings. Only pairs with positive savings can improve on the boundary and
+// become edges, which keeps the graph to the k defects and typically far
+// fewer than k²/2 edges. A defect with no boundary path gets bnd = far; if
+// one stays unmatched, no valid matching exists and the defect set is
+// reported unmatchable.
+func (d *Decoder) matchDefects(defects []int, s *Scratch) ([]int, error) {
 	k := len(defects)
-	// Exact capacity: at most k(k-1)/2 defect-pair edges, exactly k(k-1)/2
-	// boundary-image edges, and at most k boundary edges — k*k in total —
-	// so the append loop below never reallocates.
-	var edges []matching.Edge
-	if s != nil {
-		if cap(s.edges) < k*k {
-			s.edges = make([]matching.Edge, 0, k*k)
+	s.bnd = s.bnd[:0]
+	for _, v := range defects {
+		w := quantWeight(d.row(v).dist[d.boundary])
+		if w < 0 {
+			w = far
 		}
-		edges = s.edges[:0]
-	} else {
-		edges = make([]matching.Edge, 0, k*k)
+		s.bnd = append(s.bnd, w)
 	}
+	edges := s.edges[:0]
 	for i := 0; i < k; i++ {
 		ri := d.row(defects[i])
 		for j := i + 1; j < k; j++ {
-			if w := quantWeight(ri.dist[defects[j]]); w >= 0 {
-				edges = append(edges, matching.Edge{U: i, V: j, W: w})
+			w := quantWeight(ri.dist[defects[j]])
+			if w < 0 {
+				continue
 			}
-			edges = append(edges, matching.Edge{U: k + i, V: k + j, W: 0})
-		}
-		if w := quantWeight(ri.dist[d.boundary]); w >= 0 {
-			edges = append(edges, matching.Edge{U: i, V: k + i, W: w})
+			if save := s.bnd[i] + s.bnd[j] - w; save > 0 {
+				edges = append(edges, matching.Edge{U: i, V: j, W: save})
+			}
 		}
 	}
-	var mate []int
-	var err error
-	if s != nil {
-		s.edges = edges
-		mate, err = s.match.MinWeightPerfectMatching(2*k, edges)
-	} else {
-		mate, err = matching.MinWeightPerfectMatching(2*k, edges)
+	s.edges = edges
+	mate := s.match.MaxWeightMatching(k, edges, false)
+	for i, m := range mate {
+		if m < 0 && s.bnd[i] == far {
+			return nil, fmt.Errorf("decoder: defects unmatchable: defect %d has no path to the boundary or to an unpaired defect", defects[i])
+		}
 	}
+	return mate, nil
+}
+
+// decodeBlossom decodes a defect set exactly with the blossom matcher (see
+// matchDefects) and XORs the observable masks along the matched paths. With
+// a scratch, the edge buffer and matcher state are reused across calls, and
+// a warm decode does not allocate.
+func (d *Decoder) decodeBlossom(defects []int, s *Scratch) (uint64, error) {
+	if s == nil {
+		s = new(Scratch)
+	}
+	mate, err := d.matchDefects(defects, s)
 	if err != nil {
-		return 0, fmt.Errorf("decoder: defects unmatchable: %w", err)
+		return 0, err
 	}
 	var obs uint64
-	for i := 0; i < k; i++ {
-		m := mate[i]
+	for i, m := range mate {
 		switch {
-		case m == k+i: // matched to the boundary
+		case m < 0: // matched to the boundary
 			obs ^= d.row(defects[i]).mask[d.boundary]
-		case m < k && m > i: // defect-defect pair, counted once
+		case m > i: // defect-defect pair, counted once
 			obs ^= d.row(defects[i]).mask[defects[m]]
 		}
 	}
@@ -634,9 +692,9 @@ func (s Stats) Merge(o Stats) Stats {
 // DecodeRangeScratch decodes shots [lo, hi) of a batch serially on the
 // calling goroutine and compares predictions against the actual observable
 // flips. The per-shot defect list, matching edges, blossom state and
-// union-find arena all live in the caller-owned scratch s, so the closed
-// forms and union-find decode without allocating in steady state; s must
-// not be shared between concurrent calls. The decoder's
+// union-find arena all live in the caller-owned scratch s, so every decode
+// path runs without allocating in steady state; s must not be shared
+// between concurrent calls. The decoder's
 // tables are immutable (or published atomically) after construction, so
 // disjoint ranges decode concurrently; callers that shard a batch merge the
 // per-range Stats.

@@ -55,28 +55,21 @@ func randomDefects(rng *rand.Rand, numDet, maxK int) []int {
 	return dets
 }
 
-// blossomRef is the differential reference: the full blossom matching on
-// every non-empty defect set, bypassing the k<=2 closed forms.
-func blossomRef(d *Decoder, defects []int) (uint64, error) {
-	if len(defects) == 0 {
-		return 0, nil
-	}
-	return d.decodeBlossom(defects, nil)
-}
-
 // diffDecoders compares the decode path against the blossom reference on
 // one defect set: identical predictions, and errors (unmatchable sets) on
-// both or neither.
-func diffDecoders(t *testing.T, dec *Decoder, s *Scratch, defects []int) {
+// both or neither. The reference itself is checked against the oracle. It
+// returns the reference's result.
+func diffDecoders(t *testing.T, o *oracle, s *Scratch, defects []int) (uint64, error) {
 	t.Helper()
-	got, _, gotErr := dec.decode(defects, s)
-	want, wantErr := blossomRef(dec, defects)
+	got, _, gotErr := o.d.decode(defects, s)
+	want, wantErr := blossomRef(t, o, defects)
 	if (gotErr != nil) != (wantErr != nil) {
 		t.Fatalf("defects %v: decode err=%v, blossom err=%v", defects, gotErr, wantErr)
 	}
 	if gotErr == nil && got != want {
 		t.Fatalf("defects %v: decode predicted %b, blossom predicted %b", defects, got, want)
 	}
+	return want, wantErr
 }
 
 // In the TestFastPathMatchesSlowPath* names, the "fast path" is decode and
@@ -91,12 +84,12 @@ func TestFastPathMatchesSlowPathOnRandomModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := dec.NewScratch()
+		s, o := dec.NewScratch(), newOracle(dec)
 		for _, mech := range model.Mechanisms {
-			diffDecoders(t, dec, s, mech.Detectors)
+			diffDecoders(t, o, s, mech.Detectors)
 		}
 		for trial := 0; trial < 200; trial++ {
-			diffDecoders(t, dec, s, randomDefects(rng, numDet, 8))
+			diffDecoders(t, o, s, randomDefects(rng, numDet, 8))
 		}
 	}
 }
@@ -149,10 +142,10 @@ func TestFastPathMatchesSlowPathOnSynthesizedCircuits(t *testing.T) {
 				// Synthesize defect sets from the model itself: every
 				// mechanism signature, plus random unions of two and three
 				// signatures (realistic multi-fault shots, k up to ~8).
-				s := dec.NewScratch()
+				s, o := dec.NewScratch(), newOracle(dec)
 				rng := rand.New(rand.NewSource(int64(100*d) + int64(kind)))
 				for _, mech := range model.Mechanisms {
-					diffDecoders(t, dec, s, mech.Detectors)
+					diffDecoders(t, o, s, mech.Detectors)
 				}
 				for trial := 0; trial < 150; trial++ {
 					set := map[int]bool{}
@@ -169,7 +162,7 @@ func TestFastPathMatchesSlowPathOnSynthesizedCircuits(t *testing.T) {
 						}
 					}
 					sortInts(defects)
-					diffDecoders(t, dec, s, defects)
+					diffDecoders(t, o, s, defects)
 				}
 			})
 		}
@@ -196,12 +189,11 @@ func TestFastPathMatchesSlowPathOnSampledBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		batch := sampler.Sample(2000)
-		s := dec.NewScratch()
+		s, o := dec.NewScratch(), newOracle(dec)
 		refErrors := 0
 		for shot := 0; shot < batch.Shots; shot++ {
 			defects := batch.ShotDetectors(shot)
-			diffDecoders(t, dec, s, defects)
-			if want, err := blossomRef(dec, defects); err == nil && want != batch.ObservableMask(shot) {
+			if want, err := diffDecoders(t, o, s, defects); err == nil && want != batch.ObservableMask(shot) {
 				refErrors++
 			}
 		}

@@ -6,15 +6,17 @@ import (
 )
 
 // Scratch is a per-goroutine arena for the decode hot loop: the defect
-// list, matching edge buffer, the blossom matcher's internal state and
-// (when union-find is enabled) the uf arena, all reused across shots so
-// that steady-state decoding does not allocate. Callers that decode many
+// list, the per-defect boundary weights and savings edges of the blossom
+// graph, the blossom matcher's internal state and (when union-find is
+// enabled) the uf arena, all reused across shots so that steady-state
+// decoding does not allocate on any path. Callers that decode many
 // ranges (the Monte-Carlo chunk loop) should hold one per worker and pass
 // it to DecodeRangeScratch. A Scratch must never be shared between
 // concurrent calls.
 type Scratch struct {
 	defects []int
-	edges   []matching.Edge
+	bnd     []int64         // per-defect quantized boundary weight
+	edges   []matching.Edge // positive-savings defect pairs
 	match   matching.Scratch
 	ufs     *uf.Scratch // lazily sized to the uf graph on first k>=3 decode
 }

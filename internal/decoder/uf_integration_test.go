@@ -12,7 +12,6 @@ import (
 	"surfstitch/internal/devicetest"
 	"surfstitch/internal/experiment"
 	"surfstitch/internal/frame"
-	"surfstitch/internal/matching"
 	"surfstitch/internal/noise"
 	"surfstitch/internal/stats"
 	"surfstitch/internal/synth"
@@ -265,32 +264,6 @@ func TestUFWilsonBoundLER(t *testing.T) {
 	}
 }
 
-// mwpmWeight computes the exact minimum matching weight of a defect set the
-// same way decodeBlossom sets up the problem, for the weight lower-bound
-// assertion in the fuzzer.
-func mwpmWeight(t *testing.T, d *Decoder, defects []int) (int64, bool) {
-	t.Helper()
-	k := len(defects)
-	edges := make([]matching.Edge, 0, k*k)
-	for i := 0; i < k; i++ {
-		ri := d.row(defects[i])
-		for j := i + 1; j < k; j++ {
-			if w := quantWeight(ri.dist[defects[j]]); w >= 0 {
-				edges = append(edges, matching.Edge{U: i, V: j, W: w})
-			}
-			edges = append(edges, matching.Edge{U: k + i, V: k + j, W: 0})
-		}
-		if w := quantWeight(ri.dist[d.boundary]); w >= 0 {
-			edges = append(edges, matching.Edge{U: i, V: k + i, W: w})
-		}
-	}
-	mate, err := matching.MinWeightPerfectMatching(2*k, edges)
-	if err != nil {
-		return 0, false
-	}
-	return matching.MatchingWeight(edges, mate), true
-}
-
 func FuzzUFvsBlossom(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(3))
 	f.Add(int64(7), uint8(60), uint8(5))
@@ -307,6 +280,7 @@ func FuzzUFvsBlossom(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		o := newOracle(ufDec)
 
 		// Exact regime: adjacent defect pairs separated by gaps wide enough
 		// that every cluster grows in isolation and its internal edge is
@@ -325,7 +299,7 @@ func FuzzUFvsBlossom(f *testing.F) {
 				defects = append(defects, base, base+1)
 			}
 			got, gotErr := ufDec.Decode(defects)
-			want, wantErr := blossomRef(ufDec, defects)
+			want, wantErr := blossomRef(t, o, defects)
 			if (gotErr != nil) != (wantErr != nil) {
 				t.Fatalf("isolated pairs %v: uf err=%v blossom err=%v", defects, gotErr, wantErr)
 			}
@@ -341,7 +315,7 @@ func FuzzUFvsBlossom(f *testing.F) {
 		for trial := 0; trial < 20; trial++ {
 			defects := randomDefects(rng, numDet, 8)
 			_, _, gotErr := ufDec.decode(defects, s)
-			_, wantErr := blossomRef(ufDec, defects)
+			_, wantErr := blossomRef(t, o, defects)
 			if (gotErr != nil) != (wantErr != nil) {
 				t.Fatalf("defects %v: uf err=%v blossom err=%v", defects, gotErr, wantErr)
 			}
@@ -349,7 +323,7 @@ func FuzzUFvsBlossom(f *testing.F) {
 				continue
 			}
 			if len(defects) >= 3 && s.ufs != nil {
-				if min, ok := mwpmWeight(t, ufDec, defects); ok {
+				if min, err := o.match(defects); err == nil {
 					// The two sides quantize differently — UF sums per-edge
 					// rounded weights, the matching rounds whole path sums —
 					// so each correction edge and each matched path can skew
@@ -394,5 +368,41 @@ func TestUFDecodeZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("uf decode path allocates %.1f/batch at steady state; want 0", allocs)
+	}
+}
+
+func TestBlossomZeroAlloc(t *testing.T) {
+	// The blossom hot loop must be allocation-free at steady state too:
+	// warm one scratch through a dense batch (every shot k>=3, so every
+	// shot runs the matcher), then assert zero allocs per pass.
+	c := noise.Uniform(0.05).MustApply(repetitionMemory(7, 7))
+	model, err := dem.FromCircuit(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := New(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampler, err := frame.NewSampler(c, rand.New(rand.NewSource(34)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := keepDense(sampler.Sample(400), 3)
+	s := dec.NewScratch()
+	warm, err := dec.DecodeRangeScratch(batch, 0, batch.Shots, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Blossom != batch.Shots || warm.Shots == 0 {
+		t.Fatalf("want every shot on the blossom path, got %+v", warm)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := dec.DecodeRangeScratch(batch, 0, batch.Shots, s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("blossom decode path allocates %.1f/batch at steady state; want 0", allocs)
 	}
 }

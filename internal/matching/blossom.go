@@ -1,8 +1,15 @@
 // Package matching implements maximum-weight matching on general graphs via
 // the blossom algorithm (Galil's O(n^3) formulation, following van
-// Rantwijk's well-known array-based implementation), plus the
-// minimum-weight perfect matching wrapper used by the MWPM decoder — the
-// role PyMatching plays in the paper's toolchain.
+// Rantwijk's well-known array-based implementation) — the role PyMatching
+// plays in the paper's toolchain.
+//
+// The MWPM decoder calls Scratch.MaxWeightMatching once per dense shot, on
+// the defects alone with "savings" weights (see internal/decoder), so the
+// matcher keeps every buffer — blossom child lists, best-edge lists, leaf
+// and path scans — in the Scratch and is allocation-free in steady state.
+// MinWeightPerfectMatching solves minimum-weight perfect matching by
+// negating weights under maximum cardinality; the decoder's tests build
+// their independent exactness oracle on it.
 package matching
 
 // Edge is a weighted undirected edge for the matcher. Weights are integers;
@@ -20,22 +27,8 @@ const noNode = -1
 // matching among all maximum-cardinality matchings. The result maps each
 // vertex to its partner, or -1 when unmatched.
 func MaxWeightMatching(n int, edges []Edge, maxCardinality bool) []int {
-	mate := make([]int, n)
-	for i := range mate {
-		mate[i] = noNode
-	}
-	if len(edges) == 0 || n == 0 {
-		return mate
-	}
-	m := newMatcher(n, edges, maxCardinality)
-	m.run()
-	// Convert endpoint-based mates to vertex-based.
-	for v := 0; v < n; v++ {
-		if m.mate[v] >= 0 {
-			mate[v] = m.endpoint[m.mate[v]]
-		}
-	}
-	return mate
+	var s Scratch
+	return s.MaxWeightMatching(n, edges, maxCardinality)
 }
 
 type matcher struct {
@@ -61,20 +54,21 @@ type matcher struct {
 	dualvar          []int64
 	allowedge        []bool
 	queue            []int
-	leavesBuf        []int // reused by assignLabel's queue fill
-}
 
-func newMatcher(n int, edges []Edge, maxCard bool) *matcher {
-	m := &matcher{}
-	m.reset(n, edges, maxCard)
-	return m
+	// Scan buffers, reused across calls. leaves is refilled by every
+	// blossomLeaves scan and is never held across a call that refills it.
+	leaves     []int
+	path       []int // scanBlossom's trace
+	bestedgeto []int // addBlossom's least-slack edge per neighbouring blossom
 }
 
 // reset (re)initializes the matcher for a fresh run over n vertices and the
 // given edges, reusing every buffer whose capacity suffices. A matcher that
 // lives inside a Scratch is reset once per matching call, which is what
 // makes repeated small matchings (the decoder's per-shot blossom runs)
-// allocation-free in the steady state.
+// allocation-free in the steady state. Per-blossom lists are resliced to
+// zero length, never set to nil, so their backing arrays carry over too; an
+// empty best-edge list means "not computed".
 func (m *matcher) reset(n int, edges []Edge, maxCard bool) {
 	m.nvertex, m.nedge, m.maxCard = n, len(edges), maxCard
 	m.edges = resizeEdges(m.edges, len(edges))
@@ -116,9 +110,9 @@ func (m *matcher) reset(n int, edges []Edge, maxCard bool) {
 	m.blossomendps = resizeIntSlices(m.blossomendps, 2*n)
 	m.blossombestedges = resizeIntSlices(m.blossombestedges, 2*n)
 	for i := 0; i < 2*n; i++ {
-		m.blossomchilds[i] = nil
-		m.blossomendps[i] = nil
-		m.blossombestedges[i] = nil
+		m.blossomchilds[i] = m.blossomchilds[i][:0]
+		m.blossomendps[i] = m.blossomendps[i][:0]
+		m.blossombestedges[i] = m.blossombestedges[i][:0]
 	}
 	m.blossombase = resizeInts(m.blossombase, 2*n)
 	for v := 0; v < n; v++ {
@@ -171,9 +165,13 @@ func resizeEdges(s []Edge, n int) []Edge {
 	return s[:n]
 }
 
+// resizeIntSlices keeps the inner slices' backing arrays when it grows the
+// outer one, so per-vertex and per-blossom lists never have to regrow.
 func resizeIntSlices(s [][]int, n int) [][]int {
 	if cap(s) < n {
-		return make([][]int, n)
+		grown := make([][]int, n)
+		copy(grown, s[:cap(s)])
+		return grown
 	}
 	return s[:n]
 }
@@ -182,12 +180,6 @@ func fillInts(s []int, v int) {
 	for i := range s {
 		s[i] = v
 	}
-}
-
-func filled(n, v int) []int {
-	s := make([]int, n)
-	fillInts(s, v)
-	return s
 }
 
 // slack returns the slack of edge k (non-negative on tight duals).
@@ -220,9 +212,9 @@ func (m *matcher) assignLabel(w, t, p int) {
 	m.bestedge[w] = noNode
 	m.bestedge[b] = noNode
 	if t == 1 {
-		m.leavesBuf = m.leavesBuf[:0]
-		m.blossomLeaves(b, &m.leavesBuf)
-		m.queue = append(m.queue, m.leavesBuf...)
+		m.leaves = m.leaves[:0]
+		m.blossomLeaves(b, &m.leaves)
+		m.queue = append(m.queue, m.leaves...)
 	} else if t == 2 {
 		base := m.blossombase[b]
 		if m.mate[base] < 0 {
@@ -236,7 +228,7 @@ func (m *matcher) assignLabel(w, t, p int) {
 // blossom in the alternating tree; returns its base vertex, or noNode when
 // an augmenting path was found instead.
 func (m *matcher) scanBlossom(v, w int) int {
-	var path []int
+	path := m.path[:0]
 	base := noNode
 	for v != noNode || w != noNode {
 		b := m.inblossom[v]
@@ -272,6 +264,7 @@ func (m *matcher) scanBlossom(v, w int) int {
 	for _, b := range path {
 		m.label[b] = 1
 	}
+	m.path = path
 	return base
 }
 
@@ -287,7 +280,7 @@ func (m *matcher) addBlossom(base, k int) {
 	m.blossombase[b] = base
 	m.blossomparent[b] = noNode
 	m.blossomparent[bb] = b
-	var path, endps []int
+	path, endps := m.blossomchilds[b][:0], m.blossomendps[b][:0]
 	for bv != bb {
 		m.blossomparent[bv] = b
 		path = append(path, bv)
@@ -314,50 +307,37 @@ func (m *matcher) addBlossom(base, k int) {
 	m.dualvar[b] = 0
 	m.blossomchilds[b] = path
 	m.blossomendps[b] = endps
-	var leaves []int
-	m.blossomLeaves(b, &leaves)
-	for _, lv := range leaves {
+	m.leaves = m.leaves[:0]
+	m.blossomLeaves(b, &m.leaves)
+	for _, lv := range m.leaves {
 		if m.label[m.inblossom[lv]] == 2 {
 			m.queue = append(m.queue, lv)
 		}
 		m.inblossom[lv] = b
 	}
-	// Recompute best edges out of the new blossom.
-	bestedgeto := filled(2*m.nvertex, noNode)
+	// Recompute best edges out of the new blossom: a child's cached list
+	// when it has one, otherwise every edge of every leaf of the child.
+	m.bestedgeto = resizeInts(m.bestedgeto, 2*m.nvertex)
+	fillInts(m.bestedgeto, noNode)
 	for _, child := range path {
-		var nblists [][]int
-		if m.blossombestedges[child] == nil {
-			var leaves2 []int
-			m.blossomLeaves(child, &leaves2)
-			for _, lv := range leaves2 {
-				list := make([]int, 0, len(m.neighbend[lv]))
+		if len(m.blossombestedges[child]) == 0 {
+			m.leaves = m.leaves[:0]
+			m.blossomLeaves(child, &m.leaves)
+			for _, lv := range m.leaves {
 				for _, p := range m.neighbend[lv] {
-					list = append(list, p/2)
+					m.considerBestEdge(b, p/2)
 				}
-				nblists = append(nblists, list)
 			}
 		} else {
-			nblists = [][]int{m.blossombestedges[child]}
-		}
-		for _, nblist := range nblists {
-			for _, ek := range nblist {
-				i, j := m.edges[ek].U, m.edges[ek].V
-				if m.inblossom[j] == b {
-					i, j = j, i
-				}
-				_ = i
-				bj := m.inblossom[j]
-				if bj != b && m.label[bj] == 1 &&
-					(bestedgeto[bj] == noNode || m.slack(ek) < m.slack(bestedgeto[bj])) {
-					bestedgeto[bj] = ek
-				}
+			for _, ek := range m.blossombestedges[child] {
+				m.considerBestEdge(b, ek)
 			}
 		}
-		m.blossombestedges[child] = nil
+		m.blossombestedges[child] = m.blossombestedges[child][:0]
 		m.bestedge[child] = noNode
 	}
-	var best []int
-	for _, ek := range bestedgeto {
+	best := m.blossombestedges[b][:0]
+	for _, ek := range m.bestedgeto {
 		if ek != noNode {
 			best = append(best, ek)
 		}
@@ -371,6 +351,20 @@ func (m *matcher) addBlossom(base, k int) {
 	}
 }
 
+// considerBestEdge records edge ek in bestedgeto when it is the least-slack
+// edge seen so far from blossom b to the S-blossom at its other end.
+func (m *matcher) considerBestEdge(b, ek int) {
+	j := m.edges[ek].V
+	if m.inblossom[j] == b {
+		j = m.edges[ek].U
+	}
+	bj := m.inblossom[j]
+	if bj != b && m.label[bj] == 1 &&
+		(m.bestedgeto[bj] == noNode || m.slack(ek) < m.slack(m.bestedgeto[bj])) {
+		m.bestedgeto[bj] = ek
+	}
+}
+
 // expandBlossom dissolves blossom b, relabeling its children. When endstage
 // is true the blossom's dual is zero and the stage is over.
 func (m *matcher) expandBlossom(b int, endstage bool) {
@@ -381,9 +375,9 @@ func (m *matcher) expandBlossom(b int, endstage bool) {
 		} else if endstage && m.dualvar[s] == 0 {
 			m.expandBlossom(s, endstage)
 		} else {
-			var leaves []int
-			m.blossomLeaves(s, &leaves)
-			for _, lv := range leaves {
+			m.leaves = m.leaves[:0]
+			m.blossomLeaves(s, &m.leaves)
+			for _, lv := range m.leaves {
 				m.inblossom[lv] = s
 			}
 		}
@@ -424,11 +418,11 @@ func (m *matcher) expandBlossom(b int, endstage bool) {
 				j += jstep
 				continue
 			}
-			var leaves []int
-			m.blossomLeaves(bv, &leaves)
+			m.leaves = m.leaves[:0]
+			m.blossomLeaves(bv, &m.leaves)
 			var lv int
 			found := false
-			for _, lv = range leaves {
+			for _, lv = range m.leaves {
 				if m.label[lv] != 0 {
 					found = true
 					break
@@ -447,10 +441,10 @@ func (m *matcher) expandBlossom(b int, endstage bool) {
 	}
 	m.label[b] = noNode
 	m.labelend[b] = noNode
-	m.blossomchilds[b] = nil
-	m.blossomendps[b] = nil
+	m.blossomchilds[b] = m.blossomchilds[b][:0]
+	m.blossomendps[b] = m.blossomendps[b][:0]
 	m.blossombase[b] = noNode
-	m.blossombestedges[b] = nil
+	m.blossombestedges[b] = m.blossombestedges[b][:0]
 	m.bestedge[b] = noNode
 	m.unusedblossoms = append(m.unusedblossoms, b)
 }
@@ -489,9 +483,9 @@ func (m *matcher) augmentBlossom(b, v int) {
 		m.mate[m.endpoint[p]] = p ^ 1
 		m.mate[m.endpoint[p^1]] = p
 	}
-	m.blossomchilds[b] = append(childs[i:], childs[:i]...)
-	m.blossomendps[b] = append(m.blossomendps[b][i:], m.blossomendps[b][:i]...)
-	m.blossombase[b] = m.blossombase[m.blossomchilds[b][0]]
+	rotateLeft(childs, i)
+	rotateLeft(m.blossomendps[b], i)
+	m.blossombase[b] = m.blossombase[childs[0]]
 	if m.blossombase[b] != v {
 		panic("matching: augmentBlossom failed to rebase")
 	}
@@ -546,7 +540,7 @@ func (m *matcher) run() {
 			m.bestedge[i] = noNode
 		}
 		for b := n; b < 2*n; b++ {
-			m.blossombestedges[b] = nil
+			m.blossombestedges[b] = m.blossombestedges[b][:0]
 		}
 		for i := range m.allowedge {
 			m.allowedge[i] = false
@@ -709,6 +703,13 @@ func reverseInts(s []int) {
 	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
 		s[i], s[j] = s[j], s[i]
 	}
+}
+
+// rotateLeft rotates s in place so that s[i] becomes s[0].
+func rotateLeft(s []int, i int) {
+	reverseInts(s[:i])
+	reverseInts(s[i:])
+	reverseInts(s)
 }
 
 func indexOf(s []int, v int) int {

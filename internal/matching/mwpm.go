@@ -28,39 +28,30 @@ func MinWeightPerfectMatching(n int, edges []Edge) ([]int, error) {
 // is ready to use. A Scratch is not safe for concurrent use; give each
 // goroutine its own.
 type Scratch struct {
-	neg  []Edge
 	mate []int
 	m    matcher
 }
 
-// MinWeightPerfectMatching is the scratch-reusing variant of the package
-// function: identical results, but every internal buffer — including the
-// returned mate slice — is owned by the Scratch and overwritten by the next
-// call. Callers must consume (or copy) the result before reusing s.
-func (s *Scratch) MinWeightPerfectMatching(n int, edges []Edge) ([]int, error) {
-	if n%2 != 0 {
-		return nil, fmt.Errorf("matching: perfect matching needs an even vertex count, got %d", n)
-	}
+// MaxWeightMatching is the scratch-reusing variant of the package function:
+// identical results, but every internal buffer — including the returned
+// mate slice — is owned by the Scratch and overwritten by the next call.
+// Callers must consume (or copy) the result before reusing s. Once the
+// buffers have grown to the largest graph seen, a call does not allocate.
+func (s *Scratch) MaxWeightMatching(n int, edges []Edge, maxCardinality bool) []int {
 	s.mate = resizeInts(s.mate, n)
-	if n == 0 {
-		return s.mate, nil
+	fillInts(s.mate, noNode)
+	if len(edges) == 0 || n == 0 {
+		return s.mate
 	}
-	if len(edges) == 0 {
-		return nil, fmt.Errorf("matching: vertex 0 unmatched; graph has no perfect matching")
-	}
-	s.neg = resizeEdges(s.neg, len(edges))
-	for i, e := range edges {
-		s.neg[i] = Edge{U: e.U, V: e.V, W: -e.W}
-	}
-	s.m.reset(n, s.neg, true)
+	s.m.reset(n, edges, maxCardinality)
 	s.m.run()
+	// Convert endpoint-based mates to vertex-based.
 	for v := 0; v < n; v++ {
-		if s.m.mate[v] < 0 {
-			return nil, fmt.Errorf("matching: vertex %d unmatched; graph has no perfect matching", v)
+		if s.m.mate[v] >= 0 {
+			s.mate[v] = s.m.endpoint[s.m.mate[v]]
 		}
-		s.mate[v] = s.m.endpoint[s.m.mate[v]]
 	}
-	return s.mate, nil
+	return s.mate
 }
 
 // MatchingWeight sums the weights of the matched edges under mate, counting

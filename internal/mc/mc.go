@@ -328,6 +328,13 @@ func Run(ctx context.Context, cfg Config, fn ChunkFunc) (Result, error) {
 			}
 		}
 	}
+	// Workers also stop on ctx.Err(), so the results channel can close
+	// before the select above ever takes ctx.Done(). A run cut short that
+	// way was canceled, not a completed budget.
+	if !halted && chunks < nChunks && ctx.Err() != nil {
+		firstErr = ctx.Err()
+		reason = StopCanceled
+	}
 	res := Result{Tally: merged, Chunks: chunks, Reason: reason, Elapsed: time.Since(start)}
 	if reg != nil {
 		reg.Counter(fmt.Sprintf("mc_stop_total{reason=%q}", reason.String())).Inc()

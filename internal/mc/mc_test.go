@@ -188,6 +188,31 @@ func TestCancellationPromptNoLeak(t *testing.T) {
 	}
 }
 
+func TestCancelBetweenChunksReportsCanceled(t *testing.T) {
+	// Chunk 1 cancels the context and returns normally, so the lone worker
+	// exits between chunks and closes the results channel while ctx.Done()
+	// is also ready. Whichever the collector's select takes first, the run
+	// must report the cancellation, never a partial tally as a budget stop.
+	// Each repetition takes the racy order with probability about 1/4.
+	for rep := 0; rep < 200; rep++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		res, err := Run(ctx, Config{Shots: 64 * 16, ChunkShots: 64, Workers: 1, Seed: 1},
+			func(chunk int, _ *rand.Rand, shots int) (Tally, error) {
+				if chunk == 1 {
+					cancel()
+				}
+				return Tally{Shots: shots}, nil
+			})
+		cancel()
+		if !errors.Is(err, context.Canceled) || res.Reason != StopCanceled {
+			t.Fatalf("rep %d: reason %v, err %v; want canceled with context.Canceled", rep, res.Reason, err)
+		}
+		if res.Chunks >= 16 {
+			t.Fatalf("rep %d: %d chunks merged after cancel", rep, res.Chunks)
+		}
+	}
+}
+
 func TestChunkErrorPropagates(t *testing.T) {
 	boom := fmt.Errorf("decode exploded")
 	res, err := Run(context.Background(), Config{Shots: 4096, ChunkShots: 64, Workers: 2, Seed: 1},
