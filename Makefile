@@ -31,10 +31,12 @@ lint: build
 
 # Chaos: the fault-injection sweep (internal/chaos). -short trims each
 # tiling to a smoke sweep; drop it for the full 1000-scenarios-per-tiling
-# acceptance run. The fuzz target hands scenario parameters to go-fuzz.
+# acceptance run. The fuzz targets hand scenario parameters, and random
+# elementary graphs with hyperedges to decompose, to go-fuzz.
 chaos:
 	$(GO) test ./internal/chaos -run Chaos -short -count=1
 	$(GO) test ./internal/chaos -run=^$$ -fuzz FuzzChaos -fuzztime 30s
+	$(GO) test ./internal/dem -run=^$$ -fuzz FuzzDecompose -fuzztime 30s
 
 # Fidelity-degradation harness: every minimal tiling (pristine and lightly
 # defected) through the good/median/bad calibration snapshots, asserting

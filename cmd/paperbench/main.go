@@ -210,7 +210,7 @@ func main() {
 			fmt.Println(r)
 		}
 		fmt.Println("(tree-method equality means the all-roots star search already")
-		fmt.Println(" subsumes path merging; hook orientation and decoder peeling are")
+		fmt.Println(" subsumes path merging; hook orientation and hyperedge decomposition are")
 		fmt.Println(" the load-bearing design choices — see EXPERIMENTS.md)")
 		return nil
 	})

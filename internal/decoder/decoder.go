@@ -3,10 +3,12 @@
 // pipeline.
 //
 // The detector error model's mechanisms become the weighted edges of a
-// matching graph over detectors plus a single boundary node; mechanisms
-// flipping more than two detectors are peeled into elementary edges already
-// in the graph (stim's decompose_errors), with a consecutive-pair chain only
-// as the fallback when peeling cannot reproduce the observable mask.
+// matching graph over detectors plus a single boundary node. A mechanism
+// flipping more than two detectors is split by dem.Elementary.Decompose,
+// the split the distance certifier checks: onto elementary edges already in
+// the graph whose observable masks XOR to its own (stim's
+// decompose_errors), or, when no such split exists, with the fewest new
+// edges on detector pairs that carry no elementary mechanism.
 // Decoding a shot matches its flipped detectors (defects) pairwise — or to
 // the boundary — along minimum-weight paths, and predicts the logical
 // observable flips as the XOR of the observable masks along the matched
@@ -22,9 +24,10 @@
 package decoder
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"runtime"
 	"sync"
@@ -91,11 +94,6 @@ type halfEdge struct {
 
 // Options tunes decoder compilation.
 type Options struct {
-	// NaiveDecomposition disables the elementary-edge peeling of
-	// hyperedges, falling back to consecutive-pair chaining everywhere
-	// (the decoder ablation in the benchmark harness).
-	NaiveDecomposition bool
-
 	// UnionFind routes k>=3 defect sets through the almost-linear
 	// union-find decoder (internal/uf) instead of blossom matching.
 	// The k<=2 closed forms still apply. UF corrections are valid but only
@@ -117,9 +115,14 @@ func NewWithOptions(model *dem.Model, opts Options) (*Decoder, error) {
 		boundary: model.NumDetectors,
 	}
 	n := d.numDet + 1
+	// An edge's probability XOR-combines its contributions; its mask is
+	// that of the last contribution likelier than all earlier ones combined.
 	type key struct{ u, v int }
-	probs := map[key]float64{}
-	masks := map[key]uint64{}
+	type edge struct {
+		p   float64
+		obs uint64
+	}
+	edges := map[key]edge{}
 	addEdge := func(u, v int, p float64, obs uint64) {
 		if u == v {
 			return
@@ -128,11 +131,12 @@ func NewWithOptions(model *dem.Model, opts Options) (*Decoder, error) {
 			u, v = v, u
 		}
 		k := key{u, v}
-		old := probs[k]
-		if p > old {
-			masks[k] = obs
+		e := edges[k]
+		if p > e.p {
+			e.obs = obs
 		}
-		probs[k] = old + p - 2*old*p
+		e.p = e.p + p - 2*e.p*p
+		edges[k] = e
 	}
 	// First pass: elementary mechanisms (at most two detectors) become graph
 	// edges directly.
@@ -148,91 +152,43 @@ func NewWithOptions(model *dem.Model, opts Options) (*Decoder, error) {
 			addEdge(mech.Detectors[0], mech.Detectors[1], mech.Prob, mech.Obs)
 		}
 	}
-	// Second pass: hyperedges decompose into elementary edges when possible
-	// (stim's strategy): a composite mechanism is a simultaneous firing of
-	// simpler mechanisms already present, so peel detector pairs that exist
-	// as elementary edges. The peeled decomposition is accepted only when
-	// the component observable masks XOR to the mechanism's mask; otherwise
-	// fall back to a consecutive chain with explicit mask attribution.
-	edgeExists := func(u, v int) bool {
-		if u > v {
-			u, v = v, u
-		}
-		_, ok := probs[key{u, v}]
-		return ok
-	}
-	edgeMask := func(u, v int) uint64 {
-		if u > v {
-			u, v = v, u
-		}
-		return masks[key{u, v}]
-	}
+	// Second pass: each hyperedge adds its probability to the components of
+	// its split. Only a hyperedge with no split onto elementary edges gets
+	// new edges, the first carrying the residual mask: this is how
+	// hook-error edges (flag + correlated data pair) enter the graph. One
+	// whose detectors' pairs and boundary edges all exist, with masks that
+	// cannot reproduce its own, has no split at all and adds nothing.
+	elem := dem.NewElementary(model)
 	for _, mech := range model.Mechanisms {
 		if len(mech.Detectors) <= 2 {
 			continue
 		}
-		if opts.NaiveDecomposition {
-			chainDecompose(mech, d.boundary, addEdge)
-			continue
+		comps, _ := elem.Decompose(mech.Detectors, mech.Obs, len(mech.Detectors))
+		for _, c := range comps {
+			addEdge(c.U, c.V, mech.Prob, c.Obs)
 		}
-		comps, leftover := peelDecompose(mech.Detectors, d.boundary, edgeExists)
-		if len(leftover) <= 2 {
-			// The peeled pairs are existing elementary edges; the leftover
-			// (if any) becomes a new edge carrying the residual observable
-			// mask so that the decomposition's total effect matches the
-			// mechanism exactly. This is how hook-error edges (flag +
-			// correlated data pair) enter the graph.
-			var xor uint64
-			for _, cp := range comps {
-				xor ^= edgeMask(cp[0], cp[1])
-			}
-			residual := mech.Obs ^ xor
-			switch len(leftover) {
-			case 0:
-				if residual != 0 {
-					// Decomposition would corrupt the observable; fall back.
-					break
-				}
-				for _, cp := range comps {
-					addEdge(cp[0], cp[1], mech.Prob, edgeMask(cp[0], cp[1]))
-				}
-				continue
-			case 1:
-				for _, cp := range comps {
-					addEdge(cp[0], cp[1], mech.Prob, edgeMask(cp[0], cp[1]))
-				}
-				addEdge(leftover[0], d.boundary, mech.Prob, residual)
-				continue
-			case 2:
-				for _, cp := range comps {
-					addEdge(cp[0], cp[1], mech.Prob, edgeMask(cp[0], cp[1]))
-				}
-				addEdge(leftover[0], leftover[1], mech.Prob, residual)
-				continue
-			}
-		}
-		// Fallback: chain consecutive detectors (ids are round/stabilizer
-		// ordered, so consecutive ids are usually close), observable mask on
-		// the first component.
-		chainDecompose(mech, d.boundary, addEdge)
 	}
 	// Build the adjacency in sorted edge order: map iteration order would
 	// otherwise vary between decoder instances, and equal-weight shortest
 	// paths would tie-break differently — so two decoders compiled from the
 	// same model would disagree on tied shots.
-	keys := make([]key, 0, len(probs))
-	for k := range probs {
-		keys = append(keys, k)
+	type keyed struct {
+		k key
+		e edge
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].u != keys[j].u {
-			return keys[i].u < keys[j].u
+	sorted := make([]keyed, 0, len(edges))
+	for k, e := range edges {
+		sorted = append(sorted, keyed{k, e})
+	}
+	slices.SortFunc(sorted, func(a, b keyed) int {
+		if c := cmp.Compare(a.k.u, b.k.u); c != 0 {
+			return c
 		}
-		return keys[i].v < keys[j].v
+		return cmp.Compare(a.k.v, b.k.v)
 	})
 	d.adj = make([][]halfEdge, n)
-	for _, k := range keys {
-		p := probs[k]
+	for _, ke := range sorted {
+		k, p := ke.k, ke.e.p
 		if p <= 0 {
 			continue
 		}
@@ -240,67 +196,12 @@ func NewWithOptions(model *dem.Model, opts Options) (*Decoder, error) {
 			p = 0.5 // a more-likely-than-not error saturates at weight 0
 		}
 		w := math.Log((1 - p) / p)
-		d.adj[k.u] = append(d.adj[k.u], halfEdge{to: k.v, weight: w, obs: masks[k]})
-		d.adj[k.v] = append(d.adj[k.v], halfEdge{to: k.u, weight: w, obs: masks[k]})
+		d.adj[k.u] = append(d.adj[k.u], halfEdge{to: k.v, weight: w, obs: ke.e.obs})
+		d.adj[k.v] = append(d.adj[k.v], halfEdge{to: k.u, weight: w, obs: ke.e.obs})
 	}
 	d.opts = opts
 	d.rows = make([]atomic.Pointer[pathRow], n)
 	return d, nil
-}
-
-// chainDecompose pairs consecutive detectors of a hyperedge, attributing
-// the observable mask to the first component.
-func chainDecompose(mech dem.Mechanism, boundary int, addEdge func(u, v int, p float64, obs uint64)) {
-	ds := mech.Detectors
-	for i := 0; i+1 < len(ds); i += 2 {
-		obs := uint64(0)
-		if i == 0 {
-			obs = mech.Obs
-		}
-		addEdge(ds[i], ds[i+1], mech.Prob, obs)
-	}
-	if len(ds)%2 == 1 {
-		addEdge(ds[len(ds)-1], boundary, mech.Prob, 0)
-	}
-}
-
-// peelDecompose greedily splits a detector set into pairs that exist as
-// elementary edges (boundary-matching unpeelable detectors when possible)
-// and returns the leftover detectors that could not be peeled.
-func peelDecompose(dets []int, boundary int, edgeExists func(u, v int) bool) (comps [][2]int, leftover []int) {
-	remaining := append([]int(nil), dets...)
-	for len(remaining) > 0 {
-		a := remaining[0]
-		matched := -1
-		for i := 1; i < len(remaining); i++ {
-			if edgeExists(a, remaining[i]) {
-				matched = i
-				break
-			}
-		}
-		if matched >= 0 {
-			comps = append(comps, [2]int{a, remaining[matched]})
-			rest := append([]int(nil), remaining[1:matched]...)
-			rest = append(rest, remaining[matched+1:]...)
-			remaining = rest
-			continue
-		}
-		leftover = append(leftover, a)
-		remaining = remaining[1:]
-	}
-	// Boundary-connected singletons peel off when more than two are left.
-	if len(leftover) > 2 {
-		var still []int
-		for _, a := range leftover {
-			if edgeExists(a, boundary) {
-				comps = append(comps, [2]int{a, boundary})
-			} else {
-				still = append(still, a)
-			}
-		}
-		leftover = still
-	}
-	return comps, leftover
 }
 
 // row returns the shortest-path row from detector src, computing it on

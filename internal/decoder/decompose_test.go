@@ -6,52 +6,6 @@ import (
 	"surfstitch/internal/dem"
 )
 
-func TestPeelDecomposeAllPairsExist(t *testing.T) {
-	exists := func(u, v int) bool {
-		pairs := map[[2]int]bool{{0, 1}: true, {2, 3}: true}
-		if u > v {
-			u, v = v, u
-		}
-		return pairs[[2]int{u, v}]
-	}
-	comps, leftover := peelDecompose([]int{0, 1, 2, 3}, 99, exists)
-	if len(leftover) != 0 {
-		t.Fatalf("leftover = %v", leftover)
-	}
-	if len(comps) != 2 {
-		t.Fatalf("comps = %v", comps)
-	}
-}
-
-func TestPeelDecomposeLeftoverPair(t *testing.T) {
-	exists := func(u, v int) bool {
-		if u > v {
-			u, v = v, u
-		}
-		return u == 0 && v == 1
-	}
-	comps, leftover := peelDecompose([]int{0, 1, 4, 7}, 99, exists)
-	if len(comps) != 1 || comps[0] != [2]int{0, 1} {
-		t.Fatalf("comps = %v", comps)
-	}
-	if len(leftover) != 2 || leftover[0] != 4 || leftover[1] != 7 {
-		t.Fatalf("leftover = %v, want [4 7]", leftover)
-	}
-}
-
-func TestPeelDecomposeBoundarySingles(t *testing.T) {
-	// No pairwise edges exist but everything touches the boundary; more than
-	// two leftovers peel to boundary edges.
-	exists := func(u, v int) bool { return v == 99 || u == 99 }
-	comps, leftover := peelDecompose([]int{0, 1, 2}, 99, exists)
-	if len(leftover) != 0 {
-		t.Fatalf("leftover = %v", leftover)
-	}
-	if len(comps) != 3 {
-		t.Fatalf("comps = %v", comps)
-	}
-}
-
 func TestHyperedgeDecomposedIntoElementaryEdges(t *testing.T) {
 	// Model: elementary mechanisms {0,1} (which flips the observable) and
 	// {2,3}, plus a hyperedge {0,1,2,3} with the same combined observable
@@ -145,5 +99,37 @@ func TestDecoderUsesResidualEdgeWeight(t *testing.T) {
 	// decoder must prefer the likely hook edge.
 	if pred != 1 {
 		t.Errorf("decoder ignored the cheap residual edge: pred=%b", pred)
+	}
+}
+
+func TestHyperedgeKeepsBoundaryMask(t *testing.T) {
+	// Splitting the hyperedge {0,1,2} as (0,1) + 2 would need mask 1 on
+	// detector 2's boundary edge, where only mask 0 exists; the split
+	// 0 + (1,2) uses existing edges as they are. Writing the residual onto
+	// the likelier boundary edge would make a lone defect on 2 decode as a
+	// logical flip.
+	model := &dem.Model{
+		NumDetectors:   3,
+		NumObservables: 1,
+		Mechanisms: []dem.Mechanism{
+			{Detectors: []int{0, 1}, Obs: 1, Prob: 0.01},
+			{Detectors: []int{0}, Prob: 0.01},
+			{Detectors: []int{1, 2}, Prob: 0.01},
+			{Detectors: []int{2}, Prob: 0.01},
+			{Detectors: []int{0, 1, 2}, Prob: 0.05},
+		},
+	}
+	d, err := New(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, defects := range [][]int{{2}, {0, 1, 2}} {
+		pred, err := d.Decode(defects)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pred != 0 {
+			t.Errorf("Decode(%v) = %b, want 0", defects, pred)
+		}
 	}
 }

@@ -23,17 +23,18 @@
 // components, flagged hook errors) are not edges; the certifier proves
 // each one decomposes into already-existing elementary edges whose
 // observable masks XOR to the hyperedge's own mask — stim's
-// decompose-errors discipline. A consistent decomposition means the
+// decompose-errors discipline — with dem.Elementary.Decompose, the split
+// the decoder builds its graph from. A consistent decomposition means the
 // hyperedge introduces no detector-graph structure the elementary edges do
 // not already carry, so the graph distance is stim's "shortest graphlike
-// error". Unlike the decoder, the certifier never invents residual-mask
-// edges for unpeelable hyperedges — a synthetic edge that exists in no
-// physical mechanism can fabricate an artificially short "undetectable"
-// cycle; hyperedges that resist consistent decomposition are instead
-// counted in Result.Undecomposable, marking the certificate as covering
-// the graphlike sub-model only. For fully graphlike models the certificate
-// is exact for the model itself, which the exhaustive differential tests
-// pin down.
+// error". The certifier allows the split no new edges (the decoder adds
+// them only for hyperedges with no split onto existing ones): a synthetic
+// edge that exists in no physical mechanism can fabricate an artificially
+// short "undetectable" cycle. Hyperedges that resist consistent
+// decomposition are instead counted in Result.Undecomposable, marking the
+// certificate as covering the graphlike sub-model only. For fully
+// graphlike models the certificate is exact for the model itself, which
+// the exhaustive differential tests pin down.
 package distance
 
 import (
@@ -307,23 +308,8 @@ func FromDEM(m *dem.Model) (*Graph, Result, error) {
 	g := NewGraph(m.NumDetectors, m.NumObservables)
 	res := Result{Graphlike: true}
 
-	// First pass: graphlike mechanisms become edges directly, and the
-	// decomposition pass needs every mask each elementary pair occurs with.
+	// First pass: graphlike mechanisms become edges directly.
 	b := g.Boundary()
-	masks := map[pair][]uint64{}
-	addMech := func(u, v int, obs uint64) error {
-		if err := g.AddEdge(u, v, obs); err != nil {
-			return err
-		}
-		k := mkPair(u, v)
-		for _, m := range masks[k] {
-			if m == obs {
-				return nil
-			}
-		}
-		masks[k] = append(masks[k], obs)
-		return nil
-	}
 	for _, mech := range m.Mechanisms {
 		if err := checkMechanism(m, mech); err != nil {
 			return nil, Result{}, err
@@ -331,11 +317,11 @@ func FromDEM(m *dem.Model) (*Graph, Result, error) {
 		var err error
 		switch len(mech.Detectors) {
 		case 0:
-			err = addMech(b, b, mech.Obs)
+			err = g.AddEdge(b, b, mech.Obs)
 		case 1:
-			err = addMech(mech.Detectors[0], b, mech.Obs)
+			err = g.AddEdge(mech.Detectors[0], b, mech.Obs)
 		case 2:
-			err = addMech(mech.Detectors[0], mech.Detectors[1], mech.Obs)
+			err = g.AddEdge(mech.Detectors[0], mech.Detectors[1], mech.Obs)
 		}
 		if err != nil {
 			return nil, Result{}, err
@@ -348,62 +334,20 @@ func FromDEM(m *dem.Model) (*Graph, Result, error) {
 	// the hyperedge's own mask. Such a mechanism adds nothing the graph
 	// does not already express. No consistent decomposition means the
 	// hyperedge genuinely exceeds the graph model; it is reported, never
-	// approximated with invented edges.
+	// approximated with new edges.
+	elem := dem.NewElementary(m)
 	for _, mech := range m.Mechanisms {
 		if len(mech.Detectors) <= 2 {
 			continue
 		}
 		res.Graphlike = false
-		if decomposes(mech.Detectors, mech.Obs, b, masks) {
+		if _, ok := elem.Decompose(mech.Detectors, mech.Obs, 0); ok {
 			res.Decomposed++
 		} else {
 			res.Undecomposable++
 		}
 	}
 	return g, res, nil
-}
-
-// pair is an unordered detector pair (or detector+boundary) key.
-type pair struct{ u, v int }
-
-func mkPair(u, v int) pair {
-	if u > v {
-		u, v = v, u
-	}
-	return pair{u, v}
-}
-
-// decomposes reports whether the detector set admits a partition into
-// existing elementary edges whose masks XOR to obs. Exhaustive over
-// partitions and mask choices; hyperedges are small (≤ a handful of
-// detectors), so the search space is tiny.
-func decomposes(dets []int, obs uint64, boundary int, masks map[pair][]uint64) bool {
-	var rec func(remaining []int, acc uint64) bool
-	rec = func(remaining []int, acc uint64) bool {
-		if len(remaining) == 0 {
-			return acc == obs
-		}
-		a := remaining[0]
-		// Pair a with a later detector via an existing elementary edge.
-		for i := 1; i < len(remaining); i++ {
-			for _, m := range masks[mkPair(a, remaining[i])] {
-				rest := make([]int, 0, len(remaining)-2)
-				rest = append(rest, remaining[1:i]...)
-				rest = append(rest, remaining[i+1:]...)
-				if rec(rest, acc^m) {
-					return true
-				}
-			}
-		}
-		// Or match a to the boundary via an existing boundary edge.
-		for _, m := range masks[mkPair(a, boundary)] {
-			if rec(remaining[1:], acc^m) {
-				return true
-			}
-		}
-		return false
-	}
-	return rec(dets, 0)
 }
 
 // checkMechanism validates one mechanism's detector list: sorted, distinct,

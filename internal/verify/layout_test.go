@@ -37,6 +37,7 @@ func TestLayoutVerify(t *testing.T) {
 	}{
 		{"heavy-square-zz", device.HeavySquare(4, 7), surgery.JointZZ},
 		{"square-xx", device.Square(14, 6), surgery.JointXX},
+		{"square-zz", device.Square(6, 14), surgery.JointZZ},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := packTwo(t, tc.dev, tc.j, 3)
