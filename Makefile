@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-core lint chaos chaos-fidelity distcheck verify bench obs-smoke server-smoke
+.PHONY: build test test-times vet race race-core lint chaos chaos-fidelity distcheck verify bench obs-smoke server-smoke
 
 build:
 	$(GO) build ./...
@@ -8,6 +8,11 @@ build:
 # Tier-1: the gate every change must pass.
 test: build
 	$(GO) test ./...
+
+# Tier-1 wall time per package: the suite run uncached, packages listed
+# slowest first as "<seconds> <package>" (FAIL lines included).
+test-times: build
+	$(GO) test -count=1 ./... 2>&1 | awk '$$1 == "ok" || $$1 == "FAIL" { print $$3, $$2 }' | sort -rn
 
 vet:
 	$(GO) vet ./...

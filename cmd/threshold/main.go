@@ -302,14 +302,10 @@ func sweepArch(ctx context.Context, kind device.Kind, m synth.Mode, basis experi
 		if err != nil {
 			return pair, err
 		}
-		prov := threshold.Provider(mem.Circuit, s.AllQubits())
-		if dcfg.stream != nil {
-			// Streaming decode needs the detector->round map to slice the
-			// syndrome into windows.
-			prov = threshold.ProviderWithRounds(mem.Circuit, s.AllQubits(), mem.DetectorRound)
-		}
+		// The memory is its own provider, detector->round map included, so
+		// streaming decode can slice the syndrome into windows.
 		curve, err := threshold.EstimateCurveContext(ctx, fmt.Sprintf("%v d=%d", kind, d), d,
-			prov, cfg.Ps, tcd)
+			mem, cfg.Ps, tcd)
 		// Keep whatever points finished: an interrupt mid-curve still
 		// produces a printable partial sweep.
 		if d == 3 {

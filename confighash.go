@@ -29,27 +29,45 @@ import (
 // form is frozen by golden-value tests: changing it invalidates every
 // content-addressed cache, so it must only ever be extended deliberately.
 func ConfigHash(kind string, dev *Device, distance int, opts Options, ps []float64, cfg RunConfig) (string, error) {
-	if kind == "" {
-		return "", fmt.Errorf("%w: empty hash kind", ErrInvalidConfig)
-	}
-	if dev == nil {
-		return "", fmt.Errorf("%w: nil device", ErrInvalidConfig)
+	if err := checkHashArgs(kind, dev, ps, cfg); err != nil {
+		return "", err
 	}
 	if distance < 2 {
 		return "", fmt.Errorf("%w: code distance %d must be at least 2", ErrInvalidConfig, distance)
 	}
+	doc := canonicalRequest(kind, dev, opts, ps)
+	doc["distance"] = distance
+	doc["run"] = canonicalRun(cfg, distance)
+	return hashDoc(doc)
+}
+
+// checkHashArgs validates the inputs every content address shares.
+func checkHashArgs(kind string, dev *Device, ps []float64, cfg RunConfig) error {
+	if kind == "" {
+		return fmt.Errorf("%w: empty hash kind", ErrInvalidConfig)
+	}
+	if dev == nil {
+		return fmt.Errorf("%w: nil device", ErrInvalidConfig)
+	}
 	if err := cfg.Validate(); err != nil {
-		return "", err
+		return err
 	}
 	for _, p := range ps {
 		if p <= 0 || p >= 1 {
-			return "", fmt.Errorf("%w: physical error rate %g outside (0, 1)", ErrInvalidConfig, p)
+			return fmt.Errorf("%w: physical error rate %g outside (0, 1)", ErrInvalidConfig, p)
 		}
 	}
-	doc := map[string]any{
-		"kind":     kind,
-		"device":   canonicalDevice(dev),
-		"distance": distance,
+	return nil
+}
+
+// canonicalRequest is the canonical document every content address
+// shares: the kind, the device, the synthesis options and the physical
+// error rates. Callers add the code shape ("distance" or "layout") and the
+// "run" section.
+func canonicalRequest(kind string, dev *Device, opts Options, ps []float64) map[string]any {
+	return map[string]any{
+		"kind":   kind,
+		"device": canonicalDevice(dev),
 		"options": map[string]any{
 			"mode":            opts.Mode.String(),
 			"no_refine":       opts.NoRefine,
@@ -57,11 +75,14 @@ func ConfigHash(kind string, dev *Device, distance int, opts Options, ps []float
 			"co_optimize":     opts.CoOptimize,
 			"degrade":         opts.Degrade,
 		},
-		"ps":  append([]float64{}, ps...),
-		"run": canonicalRun(cfg, distance),
+		"ps": append([]float64{}, ps...),
 	}
-	// json.Marshal sorts map keys, so the encoding is canonical: one byte
-	// stream per semantic request, independent of Go struct layout.
+}
+
+// hashDoc is the SHA-256 (lowercase hex) of the canonical JSON encoding of
+// doc. json.Marshal sorts map keys, so the encoding is canonical: one byte
+// stream per semantic request, independent of Go struct layout.
+func hashDoc(doc map[string]any) (string, error) {
 	blob, err := json.Marshal(doc)
 	if err != nil {
 		return "", fmt.Errorf("%w: canonicalizing request: %v", ErrInvalidConfig, err)
@@ -192,27 +213,20 @@ func canonicalRun(cfg RunConfig, distance int) map[string]any {
 // (patch grid cells and distances, surgery ops, three-phase round counts),
 // the synthesis options, the physical error rates, and the semantically
 // relevant RunConfig fields. Patch names are excluded (renaming a patch does
-// not change its physics), as are RunConfig.Rounds and Basis, which layouts
-// derive from the spec. The kind is namespaced under "surgery/" so layout
+// not change its physics). Layouts derive their rounds and bases from the
+// spec, so a non-zero RunConfig.Rounds or BasisX fails with
+// ErrInvalidConfig. The kind is namespaced under "surgery/" so layout
 // requests can never collide with single-patch ones.
 func LayoutConfigHash(kind string, dev *Device, layout LayoutSpec, opts Options, ps []float64, cfg RunConfig) (string, error) {
-	if kind == "" {
-		return "", fmt.Errorf("%w: empty hash kind", ErrInvalidConfig)
+	if err := checkHashArgs(kind, dev, ps, cfg); err != nil {
+		return "", err
 	}
-	if dev == nil {
-		return "", fmt.Errorf("%w: nil device", ErrInvalidConfig)
+	if err := cfg.checkLayout(); err != nil {
+		return "", err
 	}
 	norm, err := layout.Normalized()
 	if err != nil {
 		return "", err
-	}
-	if err := cfg.Validate(); err != nil {
-		return "", err
-	}
-	for _, p := range ps {
-		if p <= 0 || p >= 1 {
-			return "", fmt.Errorf("%w: physical error rate %g outside (0, 1)", ErrInvalidConfig, p)
-		}
 	}
 	patches := make([][3]int, len(norm.Patches))
 	for i, pt := range norm.Patches {
@@ -225,28 +239,12 @@ func LayoutConfigHash(kind string, dev *Device, layout LayoutSpec, opts Options,
 	run := canonicalRun(cfg, norm.Distance())
 	delete(run, "rounds") // the layout's round counts are authoritative
 	delete(run, "basis")  // per-patch bases follow the surgery ops
-	doc := map[string]any{
-		"kind":   "surgery/" + kind,
-		"device": canonicalDevice(dev),
-		"layout": map[string]any{
-			"patches": patches,
-			"ops":     ops,
-			"rounds":  [3]int{norm.PreRounds, norm.MergeRounds, norm.PostRounds},
-		},
-		"options": map[string]any{
-			"mode":            opts.Mode.String(),
-			"no_refine":       opts.NoRefine,
-			"star_only_trees": opts.StarOnlyTrees,
-			"co_optimize":     opts.CoOptimize,
-			"degrade":         opts.Degrade,
-		},
-		"ps":  append([]float64{}, ps...),
-		"run": run,
+	doc := canonicalRequest("surgery/"+kind, dev, opts, ps)
+	doc["layout"] = map[string]any{
+		"patches": patches,
+		"ops":     ops,
+		"rounds":  [3]int{norm.PreRounds, norm.MergeRounds, norm.PostRounds},
 	}
-	blob, err := json.Marshal(doc)
-	if err != nil {
-		return "", fmt.Errorf("%w: canonicalizing request: %v", ErrInvalidConfig, err)
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:]), nil
+	doc["run"] = run
+	return hashDoc(doc)
 }

@@ -12,6 +12,7 @@ import (
 const (
 	goldenHashSynthSquare   = "36b27c1cbe21868f15b5b3d9c5320335bde2cbe26f5292faec07d33269c7089e"
 	goldenHashCurveHeavyHex = "44c60e034e38ff9ffc85d418b3e01564e5cb7f48c0f659f7058873c44934721d"
+	goldenHashSurgerySquare = "9763153eabbc823ab01824bd44598677a364440bce156a0f1ab603b21f746aaf"
 )
 
 func TestConfigHashGoldenValues(t *testing.T) {
@@ -33,6 +34,22 @@ func TestConfigHashGoldenValues(t *testing.T) {
 	}
 	if got != goldenHashCurveHeavyHex {
 		t.Errorf("curve golden hash drifted:\n got  %s\n want %s", got, goldenHashCurveHeavyHex)
+	}
+}
+
+// TestLayoutConfigHashGoldenValue freezes the surgery-namespaced canonical
+// form the same way.
+func TestLayoutConfigHashGoldenValue(t *testing.T) {
+	layout := twoPatchLayout(3, JointXX)
+	layout.PreRounds, layout.MergeRounds = 2, 4
+	got, err := LayoutConfigHash("surgery", MustDevice(Square, 14, 12), layout,
+		Options{Mode: ModeFour, NoRefine: true}, []float64{0.002},
+		RunConfig{Shots: 500, Seed: 3, IdleError: 0.0005, MaxErrors: 20, UnionFind: true})
+	if err != nil {
+		t.Fatalf("LayoutConfigHash: %v", err)
+	}
+	if got != goldenHashSurgerySquare {
+		t.Errorf("surgery golden hash drifted:\n got  %s\n want %s", got, goldenHashSurgerySquare)
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"runtime"
@@ -36,6 +37,7 @@ import (
 	"surfstitch/internal/dem"
 	"surfstitch/internal/frame"
 	"surfstitch/internal/matching"
+	"surfstitch/internal/obs"
 	"surfstitch/internal/uf"
 )
 
@@ -519,13 +521,24 @@ func (d *Decoder) decodeBlossom(defects []int, s *Scratch) (uint64, error) {
 	return obs, nil
 }
 
-// KHistBuckets sizes the per-batch syndrome-weight histogram: buckets for
-// k = 0..KHistBuckets-2 defects plus a final overflow bucket. The exact
-// buckets resolve the sparse syndromes of small codes at low p; dense
-// syndromes all land in the overflow bucket (at d>=5, p=0.003 every shot
-// does, and the heavy-hexagon d=3/5 threshold sweep averages 21.5 defects
-// per shot).
-const KHistBuckets = 9
+// KHistBuckets sizes the per-batch syndrome-weight histogram: exact
+// buckets for k = 0, 1 and 2 (the closed-form decode paths), exponential
+// buckets (2,4], (4,8], ..., (128,256] above them, and a final overflow
+// bucket for k > 256. Heavy-hexagon d=7 at p=0.003 has a median of about
+// 150 defects per shot, so realistic sweeps stay out of the overflow.
+const KHistBuckets = 11
+
+// KHistBounds are the inclusive upper bounds of the KHist buckets before
+// the overflow: 0, 1, 2, 4, 8, ..., 256.
+var KHistBounds = append([]float64{0}, obs.ExponentialBuckets(1, 2, KHistBuckets-2)...)
+
+// KBucket returns the KHist bucket of a shot with k defects.
+func KBucket(k int) int {
+	if k == 0 {
+		return 0
+	}
+	return min(1+bits.Len(uint(k-1)), KHistBuckets-1)
+}
 
 // Stats summarizes a decoded batch. Every field is a pure function of the
 // decoded shots, so per-range Stats merge to the same totals at any worker
@@ -557,9 +570,8 @@ type Stats struct {
 	// shot count and the window geometry.
 	WindowCommits int
 
-	// KHist is the syndrome-weight histogram: KHist[k] counts shots whose
-	// defect set had exactly k flipped detectors, with the last bucket
-	// absorbing k >= KHistBuckets-1.
+	// KHist is the syndrome-weight histogram: KHist[KBucket(k)] counts the
+	// shots whose defect set had k flipped detectors.
 	KHist [KHistBuckets]int
 }
 
@@ -607,11 +619,7 @@ func (d *Decoder) DecodeRangeScratch(batch *frame.Batch, lo, hi int, s *Scratch)
 		if err != nil {
 			return stats, err
 		}
-		k := len(s.defects)
-		if k >= KHistBuckets {
-			k = KHistBuckets - 1
-		}
-		stats.KHist[k]++
+		stats.KHist[KBucket(len(s.defects))]++
 		switch path {
 		case pathK1:
 			stats.FastK1++

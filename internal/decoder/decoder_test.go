@@ -265,6 +265,30 @@ func TestDecodeRangeShardsMatchBatch(t *testing.T) {
 	}
 }
 
+// TestKBucketMatchesBounds: the bucketing function shared by whole-shot and
+// streaming decode agrees with the bounds the metrics registry exports,
+// and the top finite bucket reaches k=256.
+func TestKBucketMatchesBounds(t *testing.T) {
+	if len(KHistBounds) != KHistBuckets-1 {
+		t.Fatalf("%d bounds for %d buckets", len(KHistBounds), KHistBuckets)
+	}
+	if top := KHistBounds[len(KHistBounds)-1]; top < 256 {
+		t.Errorf("top bound %g < 256", top)
+	}
+	for b, bound := range KHistBounds {
+		k := int(bound)
+		if got := KBucket(k); got != b {
+			t.Errorf("KBucket(%d) = %d, want %d", k, got, b)
+		}
+		if got := KBucket(k + 1); got != b+1 {
+			t.Errorf("KBucket(%d) = %d, want %d", k+1, got, b+1)
+		}
+	}
+	if got := KBucket(1 << 20); got != KHistBuckets-1 {
+		t.Errorf("KBucket(2^20) = %d, want the overflow bucket %d", got, KHistBuckets-1)
+	}
+}
+
 func TestStatsMerge(t *testing.T) {
 	got := Stats{Shots: 100, LogicalErrors: 3}.Merge(Stats{Shots: 50, LogicalErrors: 2})
 	if got != (Stats{Shots: 150, LogicalErrors: 5}) {

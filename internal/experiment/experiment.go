@@ -5,191 +5,39 @@
 // paper's evaluation protocol (§5.1): 3d error-detection rounds, error rates
 // measured with respect to Pauli X errors, decoding with measurement signals
 // from bridge qubits (flags).
+//
+// A memory is the one-patch, zero-op lattice-surgery experiment: the
+// circuit comes from surgery.NewExperiment, the repository's one
+// stabilizer-round assembler.
 package experiment
 
 import (
-	"fmt"
-
-	"surfstitch/internal/circuit"
-	"surfstitch/internal/code"
-	"surfstitch/internal/flagbridge"
-	"surfstitch/internal/noise"
+	"surfstitch/internal/surgery"
 	"surfstitch/internal/synth"
-	"surfstitch/internal/tableau"
 )
 
 // Basis selects which logical state the memory protects.
-type Basis int
+type Basis = surgery.Basis
 
+// The two memory bases.
 const (
-	// BasisZ prepares |0>_L and detects Pauli-X errors with the Z-type
-	// stabilizers (the paper's threshold setting).
-	BasisZ Basis = iota
-	// BasisX prepares |+>_L and detects Pauli-Z errors with the X-type
-	// stabilizers.
-	BasisX
+	BasisZ = surgery.BasisZ
+	BasisX = surgery.BasisX
 )
 
-// String names the basis.
-func (b Basis) String() string {
-	if b == BasisX {
-		return "X"
-	}
-	return "Z"
-}
+// Options configures memory-experiment assembly: the protected basis and
+// whether to skip the tableau determinism check.
+type Options = surgery.Options
 
-// Options configures memory-experiment assembly.
-type Options struct {
-	Basis Basis
-	// IncludeOppositeDetectors also annotates the detectors of the opposite
-	// stabilizer type (useful for full-syndrome studies; costs decode time).
-	IncludeOppositeDetectors bool
-	// SkipVerify skips the tableau determinism verification (useful in
-	// benchmarks where the construction is already trusted).
-	SkipVerify bool
-}
-
-// Memory is an assembled logical-memory experiment.
-type Memory struct {
-	Synth   *synth.Synthesis
-	Rounds  int
-	Basis   Basis
-	Circuit *circuit.Circuit
-
-	// DetectorRound records which round each detector belongs to (the final
-	// data-readout detectors carry round == Rounds).
-	DetectorRound []int
-}
+// Memory is an assembled logical-memory experiment. Its DetectorRound
+// records the round of each detector (the final data-readout detectors
+// carry round == Rounds), and it serves as a threshold.CircuitProvider.
+type Memory = surgery.Experiment
 
 // NewMemory builds a memory experiment with the given number of rounds.
 // Unless disabled, the construction is verified with the tableau simulator:
 // every detector must be deterministic, which catches scheduling or circuit
 // generation bugs at assembly time.
 func NewMemory(s *synth.Synthesis, rounds int, opts Options) (*Memory, error) {
-	if rounds < 1 {
-		return nil, fmt.Errorf("experiment: need at least one round, got %d", rounds)
-	}
-	detType := code.StabZ
-	if opts.Basis == BasisX {
-		detType = code.StabX
-	}
-
-	dev := s.Layout.Dev
-	b := circuit.NewBuilder(dev.Len())
-	dataQubits := append([]int(nil), s.Layout.DataQubit...)
-
-	// Logical state preparation.
-	b.Begin().R(dataQubits...)
-	if opts.Basis == BasisX {
-		b.Begin().H(dataQubits...)
-	}
-
-	m := &Memory{Synth: s, Rounds: rounds, Basis: opts.Basis}
-
-	// planIndex locates each stabilizer's plan within the schedule results.
-	stabs := s.Layout.Code.Stabilizers()
-	planOf := map[*flagbridge.Plan]int{}
-	for si, p := range s.Plans {
-		if p != nil { // dropped stabilizers (graceful degradation) have no plan
-			planOf[p] = si
-		}
-	}
-
-	// syndrome[si] holds the record index of stabilizer si per round.
-	syndrome := make([][]int, len(stabs))
-	for r := 0; r < rounds; r++ {
-		for _, set := range s.Schedule {
-			results := flagbridge.AppendSet(b, set)
-			for _, res := range results {
-				si := planOf[res.Plan]
-				syndrome[si] = append(syndrome[si], res.SyndromeRec)
-				// Every flag outcome is deterministic; each becomes its own
-				// single-record detector so the decoder can exploit bridge
-				// qubit signals (the paper's setup).
-				for _, f := range res.FlagRecs {
-					b.Detector(f)
-					m.DetectorRound = append(m.DetectorRound, r)
-				}
-			}
-		}
-		// Syndrome comparison detectors for this round.
-		for si, st := range stabs {
-			include := st.Type == detType || opts.IncludeOppositeDetectors
-			if !include {
-				continue
-			}
-			recs := syndrome[si]
-			if len(recs) == 0 {
-				continue // dropped stabilizer: never measured, no detectors
-			}
-			switch {
-			case r == 0 && st.Type == detType:
-				// First-round outcomes of the protected type are
-				// deterministic given the logical preparation.
-				b.Detector(recs[0])
-				m.DetectorRound = append(m.DetectorRound, 0)
-			case r > 0:
-				b.Detector(recs[r-1], recs[r])
-				m.DetectorRound = append(m.DetectorRound, r)
-			}
-		}
-	}
-
-	// Final transversal data readout in the protected basis.
-	if opts.Basis == BasisX {
-		b.Begin().H(dataQubits...)
-	}
-	b.Begin()
-	finalRecs := b.M(dataQubits...)
-	recOf := make(map[int]int, len(dataQubits)) // data index -> record
-	for i := range dataQubits {
-		recOf[i] = finalRecs[i]
-	}
-
-	// Closing detectors: last syndrome vs the product of the final data
-	// measurements in the stabilizer's support.
-	for si, st := range stabs {
-		if st.Type != detType || len(syndrome[si]) == 0 {
-			continue
-		}
-		set := []int{syndrome[si][rounds-1]}
-		for _, dq := range st.Data {
-			set = append(set, recOf[dq])
-		}
-		b.Detector(set...)
-		m.DetectorRound = append(m.DetectorRound, rounds)
-	}
-
-	// The logical observable.
-	logical := s.Layout.Code.LogicalZ()
-	if opts.Basis == BasisX {
-		logical = s.Layout.Code.LogicalX()
-	}
-	var obs []int
-	for _, dq := range logical.Support() {
-		obs = append(obs, recOf[dq])
-	}
-	b.Observable(obs...)
-
-	c, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
-	m.Circuit = c
-	if !opts.SkipVerify {
-		if _, _, err := tableau.Reference(c, 3); err != nil {
-			return nil, fmt.Errorf("experiment: memory circuit failed determinism check: %w", err)
-		}
-	}
-	return m, nil
+	return surgery.NewExperiment(surgery.MemoryPlacement(s, rounds), opts)
 }
-
-// Noisy returns the experiment circuit with the given error model applied,
-// restricting idle noise to the qubits the code actually uses.
-func (m *Memory) Noisy(model noise.Model) (*circuit.Circuit, error) {
-	model.IdleOnly = m.Synth.AllQubits()
-	return model.Apply(m.Circuit)
-}
-
-// NumDetectors returns the number of annotated detectors.
-func (m *Memory) NumDetectors() int { return len(m.Circuit.Detectors) }

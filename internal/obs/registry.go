@@ -142,6 +142,18 @@ func LinearBuckets(start, width float64, count int) []float64 {
 	return out
 }
 
+// ExponentialBuckets returns count upper bounds start, start·factor,
+// start·factor², ... — the shape for quantities spanning orders of
+// magnitude, like syndrome weights from d=3 to d=7.
+func ExponentialBuckets(start, factor float64, count int) []float64 {
+	out := make([]float64, count)
+	for i := range out {
+		out[i] = start
+		start *= factor
+	}
+	return out
+}
+
 // Registry is a named collection of instruments. Metric names follow the
 // Prometheus data model and may carry a label suffix in the name itself,
 // e.g. `mc_stop_total{reason="budget"}`; the exposition writer groups and

@@ -87,6 +87,19 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+func TestExponentialBuckets(t *testing.T) {
+	got := ExponentialBuckets(1, 2, 5)
+	want := []float64{1, 2, 4, 8, 16}
+	if len(got) != len(want) {
+		t.Fatalf("ExponentialBuckets = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ExponentialBuckets = %v, want %v", got, want)
+		}
+	}
+}
+
 func TestConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hits")

@@ -28,13 +28,12 @@ func NoiseBudget(s *synth.Synthesis, p float64, cfg Config) ([]BudgetEntry, erro
 	if err != nil {
 		return nil, err
 	}
-	prov := threshold.Provider(mem.Circuit, s.AllQubits())
 
 	rate := func(gate float64, withoutIdle bool) (float64, error) {
 		tc := cfg.thresholdConfig()
 		tc.IdleError = noise.DefaultIdleError
 		tc.NoIdle = withoutIdle
-		pt, err := threshold.EstimatePoint(prov, gate, tc)
+		pt, err := threshold.EstimatePoint(mem, gate, tc)
 		if err != nil {
 			return 0, err
 		}

@@ -128,7 +128,7 @@ func memoryProvider(s *synth.Synthesis) (threshold.CircuitProvider, error) {
 	if err != nil {
 		return nil, err
 	}
-	return threshold.Provider(m.Circuit, s.AllQubits()), nil
+	return m, nil
 }
 
 // CurvePair holds the distance-3 and distance-5 curves of one code plus the

@@ -91,6 +91,10 @@ func TestSurgeryBadRequests(t *testing.T) {
 			},
 			"ops": []map[string]any{{"a": 0, "b": 1, "joint": "zz"}},
 		}}), "bad_layout"},
+		// The spec's phase lengths and the ops fix a layout's rounds and
+		// bases; memory-only run fields must not be silently dropped.
+		{"run rounds", surgeryReq(map[string]any{"p": 0.004, "run": map[string]any{"rounds": 5}}), "invalid_config"},
+		{"run basis", surgeryReq(map[string]any{"p": 0.004, "run": map[string]any{"basis": "X"}}), "invalid_config"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -5,28 +5,54 @@ import (
 
 	"surfstitch/internal/circuit"
 	"surfstitch/internal/code"
-	"surfstitch/internal/experiment"
 	"surfstitch/internal/flagbridge"
 	"surfstitch/internal/noise"
 	"surfstitch/internal/synth"
 	"surfstitch/internal/tableau"
 )
 
-// Options configures surgery-experiment assembly.
+// Basis selects the logical state a patch outside every surgery op
+// protects.
+type Basis int
+
+const (
+	// BasisZ prepares |0>_L and detects Pauli-X errors with the Z-type
+	// stabilizers (the paper's threshold setting).
+	BasisZ Basis = iota
+	// BasisX prepares |+>_L and detects Pauli-Z errors with the X-type
+	// stabilizers.
+	BasisX
+)
+
+// String names the basis.
+func (b Basis) String() string {
+	if b == BasisX {
+		return "X"
+	}
+	return "Z"
+}
+
+// Options configures experiment assembly.
 type Options struct {
-	// SkipVerify skips the tableau determinism verification.
+	// Basis is the basis of every patch in no op; patches in an op take the
+	// op's basis.
+	Basis Basis
+	// SkipVerify skips the tableau determinism verification (useful in
+	// benchmarks where the construction is already trusted).
 	SkipVerify bool
 }
 
-// Experiment is the assembled multi-patch surgery circuit: logical
-// preparation, PreRounds of separate stabilizer rounds, the merge (seam
-// preparation + MergeRounds of merged rounds, whose first round yields the
-// joint-parity observables), the split (seam readout), PostRounds of
-// separate rounds, and a transversal data readout per patch.
+// Experiment is the assembled circuit of a placement: logical preparation,
+// PreRounds of separate stabilizer rounds, the merge (seam preparation +
+// MergeRounds of merged rounds, whose first round yields the joint-parity
+// observables), the split (seam readout), PostRounds of separate rounds,
+// and a transversal data readout per patch. A single-patch memory is the
+// one-patch, zero-op case (see MemoryPlacement).
 //
 // Observables are indexed ops-then-patches: observable oi (oi < len(Ops))
 // is op oi's joint parity; observable len(Ops)+pi is patch pi's logical
-// memory observable (Z̄ for ZZ/solo patches, X̄ for XX patches).
+// memory observable (X̄ for XX patches, Z̄ for ZZ patches, and the
+// Options.Basis logical for patches in no op).
 type Experiment struct {
 	Placement *Placement
 	Circuit   *circuit.Circuit
@@ -40,13 +66,32 @@ type Experiment struct {
 // NumJointObs returns how many leading observables are joint parities.
 func (e *Experiment) NumJointObs() int { return len(e.Placement.Spec.Ops) }
 
+// MemoryPlacement is the one-patch, zero-op placement of a memory
+// experiment: `rounds` separate stabilizer rounds of s. Its spec is left
+// unnormalized so the merge and post phases stay empty.
+func MemoryPlacement(s *synth.Synthesis, rounds int) *Placement {
+	return &Placement{
+		Dev:     s.Layout.Dev,
+		Spec:    Spec{Patches: []PatchSpec{{Name: "p0", Distance: s.Layout.Code.Distance()}}, PreRounds: rounds},
+		Base:    s.Layout.Base,
+		U:       s.Layout.U,
+		V:       s.Layout.V,
+		Patches: []*synth.Synthesis{s},
+		Score:   s.Layout.Score,
+	}
+}
+
 // basisOf returns the preparation/readout convention per patch: patches in
 // an XX op live in the X basis (|+>̄ preparation, X̄ memory observable, X-type
-// syndrome detectors); everything else uses the Z basis.
-func basisOf(p *Placement) []code.StabType {
+// syndrome detectors), patches in a ZZ op in the Z basis, and patches in no
+// op in the solo basis.
+func basisOf(p *Placement, solo Basis) []code.StabType {
 	out := make([]code.StabType, len(p.Spec.Patches))
 	for pi := range out {
 		out[pi] = code.StabZ
+		if solo == BasisX && p.OpOf(pi) < 0 {
+			out[pi] = code.StabX
+		}
 	}
 	for _, op := range p.Spec.Ops {
 		if op.Joint == JointXX {
@@ -56,33 +101,20 @@ func basisOf(p *Placement) []code.StabType {
 	return out
 }
 
-// NewExperiment assembles the surgery circuit for a packed placement.
-// Unless disabled, every detector and observable is verified deterministic
-// with the tableau simulator — in particular the joint-parity observables,
-// which must read +1 on the noiseless circuit.
-//
-// A one-patch placement with no ops delegates to experiment.NewMemory so
-// the single-patch circuit is bit-identical to the legacy memory path.
+// NewExperiment assembles the circuit of a placement. Unless disabled,
+// every detector and observable is verified deterministic with the tableau
+// simulator — in particular the joint-parity observables, which must read
+// +1 on the noiseless circuit.
 func NewExperiment(p *Placement, opts Options) (*Experiment, error) {
 	spec := p.Spec
 	total := spec.TotalRounds()
 	if total < 1 {
-		return nil, badSpec("zero total rounds")
-	}
-	if len(spec.Patches) == 1 && len(spec.Ops) == 0 {
-		mem, err := experiment.NewMemory(p.Patches[0], total, experiment.Options{SkipVerify: opts.SkipVerify})
-		if err != nil {
-			return nil, err
-		}
-		return &Experiment{
-			Placement: p, Circuit: mem.Circuit,
-			Rounds: mem.Rounds, DetectorRound: mem.DetectorRound,
-		}, nil
+		return nil, badSpec("%d total rounds, need at least one", total)
 	}
 
 	dev := p.Dev
 	b := circuit.NewBuilder(dev.Len())
-	basis := basisOf(p)
+	basis := basisOf(p, opts.Basis)
 
 	// Logical preparation: |0…0> everywhere, Hadamard the X-basis patches.
 	var allData, xData []int
@@ -100,7 +132,9 @@ func NewExperiment(p *Placement, opts Options) (*Experiment, error) {
 	e := &Experiment{Placement: p, Rounds: total}
 
 	// Plan ownership: route every AppendSet result back to the patch
-	// stabilizer or merged stabilizer it measures.
+	// stabilizer or merged stabilizer it measures. Stabilizers dropped by
+	// graceful degradation have no plan, are never measured and get no
+	// detectors.
 	type planRef struct {
 		merge int // -1 for a patch plan
 		patch int // patch index for patch plans, -1 for merged plans
@@ -202,7 +236,8 @@ func NewExperiment(p *Placement, opts Options) (*Experiment, error) {
 					curSeam[ref.merge][ref.si] = res.SyndromeRec
 				}
 				// Every flag outcome is deterministic; each becomes its own
-				// single-record detector (the paper's bridge-signal setup).
+				// single-record detector so the decoder can exploit bridge
+				// qubit signals (the paper's setup).
 				for _, f := range res.FlagRecs {
 					b.Detector(f)
 					e.DetectorRound = append(e.DetectorRound, r)
@@ -210,8 +245,9 @@ func NewExperiment(p *Placement, opts Options) (*Experiment, error) {
 			}
 		}
 
-		// Syndrome comparison detectors: basis-type stabilizers only, as in
-		// the memory experiment. Patch chains run continuously through the
+		// Syndrome comparison detectors: basis-type stabilizers only, the
+		// first round's outcomes deterministic given the logical
+		// preparation. Patch chains run continuously through the
 		// merge (the merged lattice preserves every basis-type patch
 		// stabilizer), so pair detectors bridge both transitions.
 		for pi, s := range p.Patches {
@@ -341,6 +377,18 @@ func (e *Experiment) Noisy(model noise.Model) (*circuit.Circuit, error) {
 
 // NumDetectors returns the number of annotated detectors.
 func (e *Experiment) NumDetectors() int { return len(e.Circuit.Detectors) }
+
+// ExperimentCircuit returns the noise-free circuit, making the experiment a
+// threshold.CircuitProvider.
+func (e *Experiment) ExperimentCircuit() *circuit.Circuit { return e.Circuit }
+
+// IdleQubits returns the qubits that receive idle noise: every qubit the
+// placement uses.
+func (e *Experiment) IdleQubits() []int { return e.Placement.AllQubits() }
+
+// DetectorRounds returns the detector→round map, making the experiment a
+// threshold.RoundProvider for streaming decode.
+func (e *Experiment) DetectorRounds() []int { return e.DetectorRound }
 
 // zipSchedules interleaves several schedules into one sequence of plan sets
 // per round: step i unions every group's i-th set when all cross-group plan

@@ -74,8 +74,8 @@ func (j Joint) StabType() code.StabType {
 // lattice bases); within an anchor the best-scoring feasible base wins, and
 // the first feasible anchor wins overall, mirroring Allocate.
 //
-// A one-patch spec with no ops delegates to synth.Synthesize so the
-// single-patch path stays bit-identical to the legacy pipeline.
+// A one-patch spec with no ops is synthesized by synth.Synthesize, the
+// single-patch base case (including its graceful-degradation ladder).
 func Pack(ctx context.Context, dev *device.Device, spec Spec, opts synth.Options) (*Placement, error) {
 	ns, err := spec.Normalized()
 	if err != nil {
@@ -87,12 +87,9 @@ func Pack(ctx context.Context, dev *device.Device, spec Spec, opts synth.Options
 		if err != nil {
 			return nil, err
 		}
-		return &Placement{
-			Dev: dev, Spec: ns,
-			Base: s.Layout.Base, U: s.Layout.U, V: s.Layout.V,
-			Patches: []*synth.Synthesis{s},
-			Score:   s.Layout.Score,
-		}, nil
+		p := MemoryPlacement(s, 0)
+		p.Spec = ns
+		return p, nil
 	}
 	if opts.Degrade {
 		return nil, badSpec("graceful degradation is not supported for multi-patch layouts")

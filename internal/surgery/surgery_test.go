@@ -8,7 +8,6 @@ import (
 
 	"surfstitch/internal/code"
 	"surfstitch/internal/device"
-	"surfstitch/internal/experiment"
 	"surfstitch/internal/flagbridge"
 	"surfstitch/internal/synth"
 )
@@ -141,9 +140,10 @@ func TestMergeAccounting(t *testing.T) {
 	}
 }
 
-// TestSinglePatchDelegation checks the 1-patch/0-op fast path: Pack must
-// produce the legacy synthesis verbatim, and NewExperiment the legacy memory
-// circuit bit for bit.
+// TestSinglePatchDelegation checks the 1-patch/0-op base case: Pack must
+// produce the plain Synthesize result verbatim, and its three-phase
+// experiment must equal the memory of the same total round count bit for
+// bit.
 func TestSinglePatchDelegation(t *testing.T) {
 	dev := device.HeavySquare(4, 3)
 	ctx := context.Background()
@@ -162,7 +162,7 @@ func TestSinglePatchDelegation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := experiment.NewMemory(legacy, p.Spec.TotalRounds(), experiment.Options{})
+	mem, err := NewExperiment(MemoryPlacement(legacy, p.Spec.TotalRounds()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +281,19 @@ func TestJointBasisConvention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basis := basisOf(p)
-	if basis[0] != code.StabX || basis[1] != code.StabX {
-		t.Errorf("XX-merged patches must use the X basis, got %v", basis)
+	for _, solo := range []Basis{BasisZ, BasisX} {
+		if basis := basisOf(p, solo); basis[0] != code.StabX || basis[1] != code.StabX {
+			t.Errorf("solo basis %v: XX-merged patches must use the X basis, got %v", solo, basis)
+		}
+	}
+	// The solo basis reaches only patches in no op: ZZ-merged patches stay
+	// in the Z basis.
+	zz := &Placement{Spec: Spec{
+		Patches: make([]PatchSpec, 3),
+		Ops:     []Op{{A: 0, B: 1, Joint: JointZZ}},
+	}}
+	want := []code.StabType{code.StabZ, code.StabZ, code.StabX}
+	if basis := basisOf(zz, BasisX); !reflect.DeepEqual(basis, want) {
+		t.Errorf("ZZ op plus a solo patch in basis X: got %v, want %v", basis, want)
 	}
 }

@@ -11,12 +11,12 @@ import (
 	"surfstitch/internal/synth"
 )
 
-// streamProvider builds the memory provider in the round-aware form the
-// streaming ablation needs.
+// streamProvider builds the memory itself as the provider: it carries the
+// detector→round map the streaming ablation needs.
 func streamProvider(t *testing.T, rounds int) CircuitProvider {
 	t.Helper()
-	prov, mem := memoryProvider(t, device.Square(6, 6), 3, synth.ModeFour, rounds)
-	return ProviderWithRounds(mem.Circuit, prov.IdleQubits(), mem.DetectorRound)
+	_, mem := memoryProvider(t, device.Square(6, 6), 3, synth.ModeFour, rounds)
+	return mem
 }
 
 func TestStreamingPointMatchesWholeShotWithinWilson(t *testing.T) {
@@ -83,7 +83,7 @@ func TestStreamingRequiresRoundProvider(t *testing.T) {
 		Shots: 256, NoIdle: true,
 		Stream: &decoder.StreamConfig{Window: 2, Commit: 1},
 	}
-	if _, err := EstimatePoint(prov, 0.01, cfg); err == nil || !strings.Contains(err.Error(), "ProviderWithRounds") {
+	if _, err := EstimatePoint(prov, 0.01, cfg); err == nil || !strings.Contains(err.Error(), "RoundProvider") {
 		t.Fatalf("plain provider accepted for streaming decode (err=%v)", err)
 	}
 }

@@ -91,7 +91,7 @@ type Config struct {
 	// Stream, when non-nil, replaces whole-shot decoding with sliding-
 	// window streaming decode (the real-time ablation mode): each shot's
 	// syndrome is fed round by round through a decoder.Stream with this
-	// window geometry. Requires a provider built with ProviderWithRounds
+	// window geometry. Requires a provider that implements RoundProvider
 	// (the stream needs the detector→round map).
 	Stream *decoder.StreamConfig
 }
@@ -137,24 +137,10 @@ func Provider(c *circuit.Circuit, idleQubits []int) CircuitProvider {
 }
 
 // RoundProvider is the optional provider extension streaming decode needs:
-// the detector→round map of the experiment (experiment.Memory records it
-// as DetectorRound).
+// the detector→round map of the experiment (surgery.Experiment, and so
+// every memory, records it as DetectorRound).
 type RoundProvider interface {
 	DetectorRounds() []int
-}
-
-// roundAdapter is memoryAdapter plus the detector round map.
-type roundAdapter struct {
-	memoryAdapter
-	rounds []int
-}
-
-func (r roundAdapter) DetectorRounds() []int { return r.rounds }
-
-// ProviderWithRounds wraps a circuit, its idle set and its detector→round
-// map — the provider form Config.Stream requires.
-func ProviderWithRounds(c *circuit.Circuit, idleQubits []int, detRound []int) CircuitProvider {
-	return roundAdapter{memoryAdapter: memoryAdapter{c: c, idle: idleQubits}, rounds: detRound}
 }
 
 // EstimatePoint measures the logical error rate at one physical error rate.
@@ -219,7 +205,7 @@ func EstimatePointContext(ctx context.Context, prov CircuitProvider, p float64, 
 		mUF         = cfg.Registry.Counter("decoder_uf_total")
 		mUFFallback = cfg.Registry.Counter("decoder_uf_fallback_total")
 		mCommits    = cfg.Registry.Counter("decoder_window_commits_total")
-		mKHist      = cfg.Registry.Histogram("decoder_syndrome_weight", obs.LinearBuckets(0, 1, decoder.KHistBuckets-1))
+		mKHist      = cfg.Registry.Histogram("decoder_syndrome_weight", decoder.KHistBounds)
 	)
 	// promote pushes one chunk's decoder stats into the registry — the
 	// once-per-chunk boundary where plain per-worker ints become atomics —
@@ -233,9 +219,16 @@ func EstimatePointContext(ctx context.Context, prov CircuitProvider, p float64, 
 			mUF.Add(int64(st.UFShots))
 			mUFFallback.Add(int64(st.UFFallbacks))
 			mCommits.Add(int64(st.WindowCommits))
-			for k, n := range st.KHist {
+			// Each bucket is observed at its upper bound (the overflow one
+			// just past the last bound), so the histogram's _sum is an
+			// upper-bound estimate of the total syndrome weight.
+			for b, n := range st.KHist {
 				if n != 0 {
-					mKHist.ObserveN(float64(k), int64(n))
+					v := decoder.KHistBounds[len(decoder.KHistBounds)-1] + 1
+					if b < len(decoder.KHistBounds) {
+						v = decoder.KHistBounds[b]
+					}
+					mKHist.ObserveN(v, int64(n))
 				}
 			}
 		}
@@ -296,7 +289,7 @@ type streamWorker struct {
 func runStreaming(ctx context.Context, prov CircuitProvider, dec *decoder.Decoder, sampler *frame.ChunkedSampler, mcCfg mc.Config, scfg decoder.StreamConfig, promote func(decoder.Stats) mc.Tally) (mc.Result, error) {
 	rp, ok := prov.(RoundProvider)
 	if !ok {
-		return mc.Result{}, fmt.Errorf("streaming decode needs the detector round map; build the provider with ProviderWithRounds")
+		return mc.Result{}, fmt.Errorf("streaming decode needs the detector round map; the provider must implement RoundProvider")
 	}
 	detRound := rp.DetectorRounds()
 	// Validate the geometry once up front so pool misuse below is the only
@@ -335,10 +328,7 @@ func runStreaming(ctx context.Context, prov CircuitProvider, dec *decoder.Decode
 			if err != nil {
 				return mc.Tally{}, err
 			}
-			if k >= decoder.KHistBuckets {
-				k = decoder.KHistBuckets - 1
-			}
-			st.KHist[k]++
+			st.KHist[decoder.KBucket(k)]++
 			st.Shots++
 			if pred != batch.ObservableMask(shot) {
 				st.LogicalErrors++

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"surfstitch/internal/device"
+	"surfstitch/internal/devicetest"
 	"surfstitch/internal/experiment"
 	"surfstitch/internal/obs"
 	"surfstitch/internal/stats"
@@ -240,6 +241,30 @@ func TestCurveDeterministicAcrossWorkers(t *testing.T) {
 				t.Errorf("workers=%d %s = %d, want %d (workers=1)", workers, name, paths[j], wantPaths[j])
 			}
 		}
+	}
+}
+
+// TestSyndromeWeightHistogramFitsD5 pins the exponential k buckets: at a
+// realistic d=5 point (heavy-hexagon, p=0.003, median k around 50) no shot
+// lands in the overflow bucket, while most land above k=8, where the old
+// linear buckets overflowed.
+func TestSyndromeWeightHistogramFitsD5(t *testing.T) {
+	prov, _ := memoryProvider(t, devicetest.ForDistance(t, device.KindHeavyHexagon, 5), 5, synth.ModeDefault, 15)
+	reg := obs.NewRegistry()
+	pt, err := EstimatePoint(prov, 0.003, Config{Shots: 512, Seed: 5, ChunkShots: 256, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	count := snap["decoder_syndrome_weight_count"]
+	if count != float64(pt.Shots) {
+		t.Fatalf("histogram count %g, want %d shots", count, pt.Shots)
+	}
+	if top := snap[`decoder_syndrome_weight_bucket{le="256"}`]; top != count {
+		t.Errorf("%g of %g shots overflow k=256", count-top, count)
+	}
+	if low := snap[`decoder_syndrome_weight_bucket{le="8"}`]; low > count/2 {
+		t.Errorf("%g of %g shots have k <= 8; the point is not dense enough to test the buckets", low, count)
 	}
 }
 

@@ -98,7 +98,7 @@ func Layout(p *surgery.Placement, opts Options) Report {
 	// patch distance: the joint parity is protected space-like by the seam
 	// width and time-like by the merge-round count. (The hook/certificate
 	// cross-check is skipped: it models a single-observable memory.)
-	checkCircuit(&r, e.Circuit, p.Dev.Graph(), e.Noisy, opts.GateError, minClaim(p))
+	checkCircuit(&r, e, opts.GateError, minClaim(p))
 	return r
 }
 

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strings"
 
-	"surfstitch/internal/circuit"
 	"surfstitch/internal/code"
 	"surfstitch/internal/decoder"
 	"surfstitch/internal/dem"
@@ -25,6 +24,7 @@ import (
 	"surfstitch/internal/experiment"
 	"surfstitch/internal/lint/circ"
 	"surfstitch/internal/noise"
+	"surfstitch/internal/surgery"
 	"surfstitch/internal/synth"
 	"surfstitch/internal/tableau"
 )
@@ -231,7 +231,7 @@ func Synthesis(s *synth.Synthesis, opts Options) Report {
 	if s.Degradation != nil {
 		claimed = s.Degradation.EffectiveDistance
 	}
-	cert, ok := checkCircuit(&r, mem.Circuit, s.Layout.Dev.Graph(), mem.Noisy, opts.GateError, claimed)
+	cert, ok := checkCircuit(&r, mem, opts.GateError, claimed)
 	if ok && s.Degradation == nil {
 		// On a non-degraded synthesis the certificate and the vertical-hook
 		// heuristic must tell the same story: hooks halve the distance, so
@@ -253,17 +253,17 @@ func Synthesis(s *synth.Synthesis, opts Options) Report {
 }
 
 // checkCircuit runs the stages Synthesis and Layout share on an assembled
-// circuit c: the static checks against the device couplings, tableau
-// determinism, noise at gateError (noisy builds the noisy circuit),
-// detector error model extraction, decoder build, static distance
-// certification against claimed, and the single-fault sweep, recording each
-// outcome in r. It returns the certificate, or false when a stage failed
-// before the sweep.
-func checkCircuit(r *Report, c *circuit.Circuit, dev circ.Coupler, noisy func(noise.Model) (*circuit.Circuit, error), gateError float64, claimed int) (distance.Result, bool) {
+// experiment e: the static checks against the device couplings, tableau
+// determinism, noise at gateError, detector error model extraction, decoder
+// build, static distance certification against claimed, and the
+// single-fault sweep, recording each outcome in r. It returns the
+// certificate, or false when a stage failed before the sweep.
+func checkCircuit(r *Report, e *surgery.Experiment, gateError float64, claimed int) (distance.Result, bool) {
+	c := e.Circuit
 	// Fast static pre-gate: O(instructions) data-flow checks against the
 	// device coupling graph. Any finding makes the later simulation
 	// results meaningless, so bail out before paying for them.
-	for _, f := range circ.Check(c, dev) {
+	for _, f := range circ.Check(c, e.Placement.Dev.Graph()) {
 		r.Static = append(r.Static, f.String())
 	}
 	if len(r.Static) > 0 {
@@ -277,7 +277,7 @@ func checkCircuit(r *Report, c *circuit.Circuit, dev circ.Coupler, noisy func(no
 	}
 	r.Deterministic = true
 
-	nc, err := noisy(noise.Model{GateError: gateError, IdleError: noise.DefaultIdleError})
+	nc, err := e.Noisy(noise.Model{GateError: gateError, IdleError: noise.DefaultIdleError})
 	if err != nil {
 		r.Structural = append(r.Structural, fmt.Sprintf("noise application failed: %v", err))
 		return distance.Result{}, false

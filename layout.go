@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"surfstitch/internal/noise"
 	"surfstitch/internal/surgery"
-	"surfstitch/internal/threshold"
 	"surfstitch/internal/verify"
 )
 
@@ -72,8 +70,9 @@ func (ls *LayoutSynthesis) Patches() []*Synthesis { return ls.Placement.Patches 
 
 // SynthesizeLayout packs a multi-patch layout onto the device and assembles
 // the combined lattice-surgery circuit. It is the canonical multi-patch
-// entry point; Synthesize is its one-patch special case, and a one-patch
-// zero-op layout reproduces Synthesize bit for bit.
+// entry point. A one-patch zero-op layout synthesizes through Synthesize
+// and assembles the memory of the spec's total round count: NewMemory and
+// SynthesizeLayout share one circuit assembler.
 //
 // Packing places every patch and every op's merged lattice under one shared
 // lattice basis (defect- and calibration-aware, same allocator as
@@ -124,28 +123,32 @@ func VerifyLayout(ls *LayoutSynthesis) VerifyReport {
 // detector graph, and reports the logical error rate: a shot errs when the
 // decoder mispredicts any observable, joint parities included.
 //
-// RunConfig.Rounds and Basis are ignored for layouts — the spec's round
-// counts fix the schedule, and each patch's basis follows its surgery ops
-// (X for XX-merged patches, Z otherwise). Set RunConfig.UnionFind to decode
-// with the union-find decoder instead of blossom matching.
+// The spec's round counts fix the schedule, and each patch's basis follows
+// its surgery ops (X for XX-merged patches, Z otherwise), so a non-zero
+// RunConfig.Rounds or BasisX fails with ErrInvalidConfig. Set
+// RunConfig.UnionFind to decode with the union-find decoder instead of
+// blossom matching.
 func EstimateLayoutErrorRate(ctx context.Context, ls *LayoutSynthesis, p float64, cfg RunConfig) (Result, error) {
 	ctx, err := cfg.checkEstimateArgs(ctx, []float64{p})
 	if err != nil {
 		return Result{}, err
 	}
+	if err := cfg.checkLayout(); err != nil {
+		return Result{}, err
+	}
 	if ls == nil || ls.Placement == nil || ls.Experiment == nil {
 		return Result{}, fmt.Errorf("%w: nil layout synthesis", ErrInvalidConfig)
 	}
-	tc := cfg.thresholdConfig()
-	tc.Noise = noise.BuilderFor(ls.Placement.Dev)
-	pt, err := threshold.EstimatePointContext(
-		ctx,
-		threshold.ProviderWithRounds(ls.Experiment.Circuit, ls.Placement.AllQubits(), ls.Experiment.DetectorRound),
-		p,
-		tc,
-	)
-	if err != nil {
-		return Result{}, err
+	return estimatePoint(ctx, ls.Experiment, p, cfg)
+}
+
+// checkLayout rejects the memory-only run fields on a layout request.
+func (cfg RunConfig) checkLayout() error {
+	switch {
+	case cfg.Rounds != 0:
+		return fmt.Errorf("%w: Rounds %d: a layout's round counts come from its spec", ErrInvalidConfig, cfg.Rounds)
+	case cfg.Basis != BasisZ:
+		return fmt.Errorf("%w: Basis %v: a layout's patch bases follow its surgery ops", ErrInvalidConfig, cfg.Basis)
 	}
-	return Result{PhysicalErrorRate: pt.P, LogicalErrorRate: pt.Logical, Shots: pt.Shots, Errors: pt.Errors}, nil
+	return nil
 }

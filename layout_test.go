@@ -154,6 +154,31 @@ func TestLayoutConfigHash(t *testing.T) {
 	}
 }
 
+// TestLayoutRejectsMemoryRunFields: a layout's round counts come from its
+// spec and each patch's basis from its ops, so RunConfig.Rounds and
+// RunConfig.Basis are errors on the layout entry points, not silently
+// ignored inputs that would also share a cache entry.
+func TestLayoutRejectsMemoryRunFields(t *testing.T) {
+	ctx := context.Background()
+	dev := MustDevice(HeavySquare, 4, 3)
+	layout := LayoutSpec{Patches: []PatchSpec{{Distance: 3}}}
+	ls, err := SynthesizeLayout(ctx, dev, layout, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]RunConfig{
+		"rounds":  {Shots: 64, Rounds: 5},
+		"basis X": {Shots: 64, Basis: BasisX},
+	} {
+		if _, err := EstimateLayoutErrorRate(ctx, ls, 0.002, cfg); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("EstimateLayoutErrorRate with %s: err = %v, want ErrInvalidConfig", name, err)
+		}
+		if _, err := LayoutConfigHash("surgery", dev, layout, Options{}, []float64{0.002}, cfg); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("LayoutConfigHash with %s: err = %v, want ErrInvalidConfig", name, err)
+		}
+	}
+}
+
 // TestLayoutAcceptanceMatrix is the acceptance bar of the surgery redesign:
 // 2-patch XX and ZZ merges on two tilings at d=3 and d=5 synthesize with
 // tableau-verified joint parity (SynthesizeLayout fails otherwise) and yield

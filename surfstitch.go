@@ -249,7 +249,8 @@ func GenerateCalibration(d *Device, snapshot string, seed int64) (*Calibration, 
 // CalibrationSnapshots lists the preset snapshot names, best chip first.
 func CalibrationSnapshots() []string { return device.CalibrationSnapshots() }
 
-// Memory is an assembled logical-memory experiment over a synthesis.
+// Memory is an assembled logical-memory experiment over a synthesis: the
+// one-patch, zero-op SurgeryExperiment.
 type Memory = experiment.Memory
 
 // MemoryOptions configures memory-experiment assembly.
@@ -392,32 +393,11 @@ func EstimateLogicalErrorRate(ctx context.Context, s *Synthesis, p float64, cfg 
 	if err != nil {
 		return Result{}, err
 	}
-	if s == nil {
-		return Result{}, fmt.Errorf("%w: nil synthesis", ErrInvalidConfig)
-	}
-	rounds := cfg.Rounds
-	if rounds == 0 {
-		rounds = 3 * s.Layout.Code.Distance()
-	}
-	m, err := experiment.NewMemory(s, rounds, experiment.Options{Basis: cfg.Basis})
+	m, err := cfg.memory(s)
 	if err != nil {
 		return Result{}, err
 	}
-	tc := cfg.thresholdConfig()
-	// A calibrated device swaps the uniform model for per-location channels;
-	// BuilderFor returns nil on uncalibrated devices, keeping their results
-	// bit-identical.
-	tc.Noise = noise.BuilderFor(s.Layout.Dev)
-	pt, err := threshold.EstimatePointContext(
-		ctx,
-		threshold.Provider(m.Circuit, s.AllQubits()),
-		p,
-		tc,
-	)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{PhysicalErrorRate: pt.P, LogicalErrorRate: pt.Logical, Shots: pt.Shots, Errors: pt.Errors}, nil
+	return estimatePoint(ctx, m, p, cfg)
 }
 
 // Curve is a measured logical-vs-physical error curve.
@@ -431,27 +411,45 @@ func EstimateCurve(ctx context.Context, s *Synthesis, ps []float64, cfg RunConfi
 	if err != nil {
 		return Curve{}, err
 	}
+	m, err := cfg.memory(s)
+	if err != nil {
+		return Curve{}, err
+	}
+	return estimate(ctx, m, ps, cfg)
+}
+
+// memory assembles the memory experiment a single-patch estimate runs:
+// cfg.Rounds rounds (3*distance when zero) in cfg.Basis.
+func (cfg RunConfig) memory(s *Synthesis) (*Memory, error) {
 	if s == nil {
-		return Curve{}, fmt.Errorf("%w: nil synthesis", ErrInvalidConfig)
+		return nil, fmt.Errorf("%w: nil synthesis", ErrInvalidConfig)
 	}
 	rounds := cfg.Rounds
 	if rounds == 0 {
 		rounds = 3 * s.Layout.Code.Distance()
 	}
-	m, err := experiment.NewMemory(s, rounds, experiment.Options{Basis: cfg.Basis})
-	if err != nil {
-		return Curve{}, err
-	}
+	return experiment.NewMemory(s, rounds, experiment.Options{Basis: cfg.Basis})
+}
+
+// estimate sweeps ps over an assembled experiment — a memory or a surgery
+// layout alike — under the run config. A calibrated device swaps the
+// uniform model for per-location channels; BuilderFor returns nil on
+// uncalibrated devices, keeping their results bit-identical.
+func estimate(ctx context.Context, e *SurgeryExperiment, ps []float64, cfg RunConfig) (Curve, error) {
 	tc := cfg.thresholdConfig()
-	tc.Noise = noise.BuilderFor(s.Layout.Dev)
-	return threshold.EstimateCurveContext(
-		ctx,
-		fmt.Sprintf("%s-d%d", s.Layout.Dev.Name(), s.Layout.Code.Distance()),
-		s.Layout.Code.Distance(),
-		threshold.Provider(m.Circuit, s.AllQubits()),
-		ps,
-		tc,
-	)
+	tc.Noise = noise.BuilderFor(e.Placement.Dev)
+	d := e.Placement.Spec.Distance()
+	return threshold.EstimateCurveContext(ctx, fmt.Sprintf("%s-d%d", e.Placement.Dev.Name(), d), d, e, ps, tc)
+}
+
+// estimatePoint is estimate at the single physical error rate p.
+func estimatePoint(ctx context.Context, e *SurgeryExperiment, p float64, cfg RunConfig) (Result, error) {
+	c, err := estimate(ctx, e, []float64{p}, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	pt := c.Points[0]
+	return Result{PhysicalErrorRate: pt.P, LogicalErrorRate: pt.Logical, Shots: pt.Shots, Errors: pt.Errors}, nil
 }
 
 // EstimateThreshold estimates the error threshold of codes produced by the
